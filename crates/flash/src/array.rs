@@ -1,6 +1,8 @@
 //! The NAND array simulator: erase-before-program semantics, in-order page
 //! programming, per-channel pipelining, wear, and bad blocks.
 
+use std::sync::Arc;
+
 use ssdhammer_simkit::faultplane::FaultPlane;
 use ssdhammer_simkit::rng::{derive_seed, seeded, Rng};
 use ssdhammer_simkit::telemetry::{CounterHandle, Telemetry};
@@ -139,7 +141,9 @@ impl FlashHandles {
 
 #[derive(Debug)]
 struct PageData {
-    data: Box<[u8]>,
+    /// Shared with every other page programmed with the same bytes in a
+    /// row; never mutated in place, only copied out or dropped on erase.
+    data: Arc<[u8]>,
     oob: Box<[u8]>,
 }
 
@@ -183,6 +187,10 @@ pub struct FlashArray {
     /// single hottest operation in the simulator and O(1) indexing beats a
     /// tree walk over hundreds of thousands of programmed pages.
     pages: Vec<Option<PageData>>,
+    /// The payload of the last successful program, reused by the next one
+    /// when its bytes are identical (bulk fills program one payload many
+    /// times over).
+    last_program: Option<Arc<[u8]>>,
     blocks: Vec<BlockState>,
     channel_busy_until: Vec<SimTime>,
     tel: FlashHandles,
@@ -237,6 +245,7 @@ impl FlashArray {
             timing,
             clock,
             pages,
+            last_program: None,
             blocks,
             tel: FlashHandles::bind(Telemetry::new()),
             max_pe_cycles: 3000,
@@ -548,10 +557,11 @@ impl FlashArray {
         }
         let mut oob_buf = vec![0u8; self.geometry.oob_bytes as usize].into_boxed_slice();
         oob_buf[..oob.len()].copy_from_slice(oob);
-        self.pages[ppn.as_u64() as usize] = Some(PageData {
-            data: data.into(),
-            oob: oob_buf,
-        });
+        let data = match &self.last_program {
+            Some(last) if **last == *data => Arc::clone(last),
+            _ => Arc::clone(self.last_program.insert(data.into())),
+        };
+        self.pages[ppn.as_u64() as usize] = Some(PageData { data, oob: oob_buf });
         let done = self.schedule(
             self.geometry.channel_of(block),
             SimDuration::from_nanos(self.timing.t_program_ns + self.timing.t_xfer_ns),
@@ -729,6 +739,22 @@ mod tests {
         assert_eq!(a.pe_cycles(BlockId(0)).unwrap(), 1);
         // Programming restarts from page 0.
         a.program_page(Ppn(0), &page(3), b"").unwrap();
+    }
+
+    #[test]
+    fn identical_programs_survive_erasing_a_sharer() {
+        let mut a = array();
+        let second = a.geometry().first_page(BlockId(1));
+        let payload: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
+        a.program_page(Ppn(0), &payload, b"a").unwrap();
+        a.program_page(second, &payload, b"b").unwrap();
+        a.erase_block(BlockId(0)).unwrap();
+        assert_eq!(a.read_page(second).unwrap().0.as_ref(), payload.as_slice());
+        assert_eq!(&a.read_oob(second).unwrap()[..1], b"b");
+        let next = Ppn(second.as_u64() + 1);
+        a.program_page(next, &page(0x3C), b"").unwrap();
+        assert!(a.read_page(next).unwrap().0.iter().all(|&b| b == 0x3C));
+        assert_eq!(a.read_page(second).unwrap().0.as_ref(), payload.as_slice());
     }
 
     #[test]

@@ -5,10 +5,14 @@
 //!
 //! * All file I/O is block-granular (4 KiB), matching the paper's
 //!   block-level exploit; `size` still tracks bytes.
-//! * **No caching**: every metadata and data access goes to the device, so
-//!   when the FTL under the device redirects an LBA, the filesystem
-//!   faithfully follows the corrupted pointer chain — the behaviour §4.2
-//!   exploits.
+//! * **No caching across operations**: every operation reads the metadata
+//!   it needs from the device, so when the FTL under the device redirects
+//!   an LBA, the filesystem faithfully follows the corrupted pointer chain
+//!   — the behaviour §4.2 exploits. Within one operation each bitmap,
+//!   directory and extent-leaf block is read at most once per scan: an
+//!   allocation reads each bitmap block once, and one directory pass reads
+//!   each directory block and its extent leaf once and hands back the slot
+//!   to rewrite.
 //! * Directories always use extent addressing; regular files choose
 //!   per-inode between checksummed extents and unchecksummed indirect
 //!   blocks, as in ext4.
@@ -26,6 +30,9 @@ use crate::layout::{
 
 /// Extents per depth-1 leaf block: header(12) + n·12 + crc(4) ≤ 4096.
 pub const EXTENTS_PER_LEAF: usize = (BLOCK_SIZE - 12 - 4) / 12;
+
+/// Bits in one bitmap block.
+const BITS_PER_BLOCK: u32 = BLOCK_SIZE as u32 * 8;
 
 /// Who is performing an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,23 +101,11 @@ pub struct FileSystem<S: BlockDevice> {
     dev: S,
     sb: SuperBlock,
     pub(crate) tel: FsHandles,
-    /// Reusable block buffer for leaf routines (bitmap probes, inode table
+    /// Reusable block buffer for leaf routines (bitmap scans, inode table
     /// access) that never nest another scratch use. The device overwrites
     /// every byte on a successful read, so stale contents are never
-    /// observable; reusing one allocation avoids a 4 KiB zero per access on
-    /// the hottest paths (inode allocation probes the bitmap millions of
-    /// times per spray cycle).
+    /// observable; reusing one allocation avoids a 4 KiB zero per access.
     scratch: Box<[u8; BLOCK_SIZE]>,
-    /// Single-entry extent-leaf validation cache: the last leaf block that
-    /// passed [`FileSystem::check_extent_leaf`], keyed by block number AND
-    /// exact content. Directory scans resolve every logical block through
-    /// the same leaf, re-reading it each time; when the freshly read bytes
-    /// are identical to the validated copy the checksum pass is skipped.
-    /// Any content change (a rewrite, a read-disturb flip) misses the cache
-    /// and revalidates in full, so observable behavior is unchanged.
-    leaf_cache_block: Option<FsBlock>,
-    leaf_cache: Box<[u8; BLOCK_SIZE]>,
-    leaf_cache_entries: usize,
 }
 
 /// Handles into the shared [`Telemetry`] registry (metric names `fs.*`).
@@ -158,9 +153,6 @@ impl<S: BlockDevice> FileSystem<S> {
             sb,
             tel: FsHandles::bind(Telemetry::new()),
             scratch: Box::new([0u8; BLOCK_SIZE]),
-            leaf_cache_block: None,
-            leaf_cache: Box::new([0u8; BLOCK_SIZE]),
-            leaf_cache_entries: 0,
         };
         // Reserve the metadata blocks in the block bitmap.
         for b in 0..sb.data_start {
@@ -195,9 +187,6 @@ impl<S: BlockDevice> FileSystem<S> {
             sb,
             tel: FsHandles::bind(Telemetry::new()),
             scratch: Box::new([0u8; BLOCK_SIZE]),
-            leaf_cache_block: None,
-            leaf_cache: Box::new([0u8; BLOCK_SIZE]),
-            leaf_cache_entries: 0,
         })
     }
 
@@ -280,15 +269,15 @@ impl<S: BlockDevice> FileSystem<S> {
     // ---- bitmaps -----------------------------------------------------------
 
     fn bitmap_get(&mut self, start: u32, index: u32) -> FsResult<bool> {
-        let block = start + index / (BLOCK_SIZE as u32 * 8);
-        let bit = index % (BLOCK_SIZE as u32 * 8);
+        let block = start + index / BITS_PER_BLOCK;
+        let bit = index % BITS_PER_BLOCK;
         self.read_scratch(block)?;
         Ok(self.scratch[(bit / 8) as usize] & (1 << (bit % 8)) != 0)
     }
 
     fn bitmap_set(&mut self, start: u32, index: u32, value: bool) -> FsResult<()> {
-        let block = start + index / (BLOCK_SIZE as u32 * 8);
-        let bit = index % (BLOCK_SIZE as u32 * 8);
+        let block = start + index / BITS_PER_BLOCK;
+        let bit = index % BITS_PER_BLOCK;
         self.read_scratch(block)?;
         let byte = &mut self.scratch[(bit / 8) as usize];
         if value {
@@ -303,21 +292,38 @@ impl<S: BlockDevice> FileSystem<S> {
 
     /// Allocates the first free data block.
     fn alloc_block(&mut self) -> FsResult<FsBlock> {
-        let mut buf = [0u8; BLOCK_SIZE];
-        for bb in 0..self.sb.block_bitmap_len {
-            let block = self.sb.block_bitmap_start + bb;
-            self.read_raw_into(block, &mut buf)?;
-            for (byte_idx, byte) in buf.iter_mut().enumerate() {
-                if *byte == 0xFF {
+        let sb = self.sb;
+        self.alloc_bit(
+            sb.block_bitmap_start,
+            sb.block_bitmap_len,
+            0,
+            sb.total_blocks,
+        )
+    }
+
+    /// Sets and returns the first clear bit at or above `first` and below
+    /// `limit` in the `len`-block bitmap at `start`. Each bitmap block is
+    /// read at most once; the one holding the bit is written once.
+    fn alloc_bit(&mut self, start: u32, len: u32, first: u32, limit: u32) -> FsResult<u32> {
+        for bb in 0..len {
+            let block = start + bb;
+            self.read_scratch(block)?;
+            for byte_idx in 0..BLOCK_SIZE {
+                let base = bb * BITS_PER_BLOCK + byte_idx as u32 * 8;
+                // Bits below `first` count as taken.
+                let reserved = ((1u16 << first.saturating_sub(base).min(8)) - 1) as u8;
+                let byte = self.scratch[byte_idx] | reserved;
+                if byte == 0xFF {
                     continue;
                 }
                 let free_bit = byte.trailing_ones();
-                let index = bb * (BLOCK_SIZE as u32 * 8) + byte_idx as u32 * 8 + free_bit;
-                if index >= self.sb.total_blocks {
+                let index = base + free_bit;
+                if index >= limit {
                     return Err(FsError::NoSpace);
                 }
-                *byte |= 1 << free_bit;
-                self.write_raw(block, &buf)?;
+                self.scratch[byte_idx] |= 1 << free_bit;
+                self.tel.block_writes.incr();
+                self.dev.write(Lba(u64::from(block)), &self.scratch[..])?;
                 return Ok(index);
             }
         }
@@ -335,14 +341,11 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(())
     }
 
+    /// Allocates the first free inode; inode 0 is never handed out.
     fn alloc_ino(&mut self) -> FsResult<Ino> {
-        for i in 1..self.sb.inode_count {
-            if !self.bitmap_get(self.sb.inode_bitmap_start, i)? {
-                self.bitmap_set(self.sb.inode_bitmap_start, i, true)?;
-                return Ok(Ino(i));
-            }
-        }
-        Err(FsError::NoSpace)
+        let sb = self.sb;
+        self.alloc_bit(sb.inode_bitmap_start, 1, 1, sb.inode_count)
+            .map(Ino)
     }
 
     fn free_ino(&mut self, ino: Ino) -> FsResult<()> {
@@ -404,23 +407,26 @@ impl<S: BlockDevice> FileSystem<S> {
     // ---- block mapping -----------------------------------------------------
 
     /// Resolves file-logical `logical` to a filesystem block, without
-    /// allocating. `None` = hole.
-    fn map_block(&mut self, inode: &Inode, logical: u32) -> FsResult<Option<FsBlock>> {
+    /// allocating. `None` = hole. A spilled extent leaf is read into `memo`
+    /// on first use, so an operation that resolves many blocks of one inode
+    /// through the same `memo` reads the leaf once.
+    fn map_block(
+        &mut self,
+        inode: &Inode,
+        logical: u32,
+        memo: &mut Option<Vec<Extent>>,
+    ) -> FsResult<Option<FsBlock>> {
         match &inode.map {
             InodeMap::Extents { inline, leaf } => {
-                let find = |extents: &[Extent]| {
-                    extents
-                        .iter()
-                        .find(|e| e.logical <= logical && logical < e.logical + e.len)
-                        .map(|e| e.start + (logical - e.logical))
-                };
-                if let Some(b) = find(inline) {
+                if let Some(b) = extent_find(inline, logical) {
                     return Ok(Some(b));
                 }
-                if let Some(leaf_block) = leaf {
-                    return self.extent_leaf_lookup(*leaf_block, logical);
+                match leaf {
+                    Some(leaf_block) => {
+                        Ok(extent_find(self.leaf_extents(*leaf_block, memo)?, logical))
+                    }
+                    None => Ok(None),
                 }
-                Ok(None)
             }
             InodeMap::Indirect {
                 direct,
@@ -463,13 +469,18 @@ impl<S: BlockDevice> FileSystem<S> {
 
     /// Like [`FileSystem::map_block`] but allocates the backing block (and
     /// any needed indirect/leaf blocks), updating `inode` in place.
-    fn map_block_alloc(&mut self, inode: &mut Inode, logical: u32) -> FsResult<FsBlock> {
-        if let Some(b) = self.map_block(inode, logical)? {
+    fn map_block_alloc(
+        &mut self,
+        inode: &mut Inode,
+        logical: u32,
+        memo: &mut Option<Vec<Extent>>,
+    ) -> FsResult<FsBlock> {
+        if let Some(b) = self.map_block(inode, logical, memo)? {
             return Ok(b);
         }
         let data = self.alloc_block()?;
         match &mut inode.map {
-            InodeMap::Extents { .. } => self.extent_insert(inode, logical, data)?,
+            InodeMap::Extents { .. } => self.extent_insert(inode, logical, data, memo)?,
             InodeMap::Indirect {
                 direct,
                 single,
@@ -523,17 +534,23 @@ impl<S: BlockDevice> FileSystem<S> {
 
     /// Inserts `(logical → data)` into an extent map, merging with an
     /// adjacent extent when possible and spilling to a leaf block when the
-    /// inline area fills.
-    fn extent_insert(&mut self, inode: &mut Inode, logical: u32, data: FsBlock) -> FsResult<()> {
+    /// inline area fills. `memo` is the leaf as [`FileSystem::map_block`]
+    /// left it for this inode.
+    fn extent_insert(
+        &mut self,
+        inode: &mut Inode,
+        logical: u32,
+        data: FsBlock,
+        memo: &mut Option<Vec<Extent>>,
+    ) -> FsResult<()> {
         let InodeMap::Extents { inline, leaf } = &mut inode.map else {
             unreachable!("caller matched extents");
         };
+        let extends = |e: &Extent| e.logical + e.len == logical && e.start + e.len == data;
         // Try to extend the extent ending right before `logical`.
-        for e in inline.iter_mut() {
-            if e.logical + e.len == logical && e.start + e.len == data {
-                e.len += 1;
-                return Ok(());
-            }
+        if let Some(e) = inline.iter_mut().find(|e| extends(e)) {
+            e.len += 1;
+            return Ok(());
         }
         if inline.len() < INLINE_EXTENTS && leaf.is_none() {
             inline.push(Extent {
@@ -555,24 +572,20 @@ impl<S: BlockDevice> FileSystem<S> {
                 b
             }
         };
-        let mut extents = self.read_extent_leaf(leaf_block)?;
-        for e in extents.iter_mut() {
-            if e.logical + e.len == logical && e.start + e.len == data {
-                e.len += 1;
-                self.write_extent_leaf(leaf_block, &extents)?;
-                return Ok(());
-            }
-        }
-        if extents.len() >= EXTENTS_PER_LEAF {
+        let extents = self.leaf_extents(leaf_block, memo)?;
+        if let Some(e) = extents.iter_mut().find(|e| extends(e)) {
+            e.len += 1;
+        } else if extents.len() >= EXTENTS_PER_LEAF {
             return Err(FsError::FileTooLarge);
+        } else {
+            extents.push(Extent {
+                logical,
+                len: 1,
+                start: data,
+            });
+            extents.sort_by_key(|e| e.logical);
         }
-        extents.push(Extent {
-            logical,
-            len: 1,
-            start: data,
-        });
-        extents.sort_by_key(|e| e.logical);
-        self.write_extent_leaf(leaf_block, &extents)
+        self.write_extent_leaf(leaf_block, extents)
     }
 
     /// Validates an extent leaf block's magic, checksum, and entry count,
@@ -597,30 +610,12 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(entries)
     }
 
-    /// [`FileSystem::check_extent_leaf`] behind the single-entry validation
-    /// cache: a byte-identical re-read of the last validated leaf skips the
-    /// checksum; anything else validates in full and repopulates the cache.
-    fn check_extent_leaf_cached(
-        &mut self,
-        block: FsBlock,
-        buf: &[u8; BLOCK_SIZE],
-    ) -> FsResult<usize> {
-        if self.leaf_cache_block == Some(block) && self.leaf_cache[..] == buf[..] {
-            return Ok(self.leaf_cache_entries);
-        }
-        let entries = Self::check_extent_leaf(buf)?;
-        self.leaf_cache_block = Some(block);
-        self.leaf_cache.copy_from_slice(buf);
-        self.leaf_cache_entries = entries;
-        Ok(entries)
-    }
-
     /// Reads and verifies a depth-1 extent leaf block (checksummed like
     /// ext4's).
     fn read_extent_leaf(&mut self, block: FsBlock) -> FsResult<Vec<Extent>> {
         let mut buf = [0u8; BLOCK_SIZE];
         self.read_raw_into(block, &mut buf)?;
-        let entries = self.check_extent_leaf_cached(block, &buf)?;
+        let entries = Self::check_extent_leaf(&buf)?;
         let mut out = Vec::with_capacity(entries);
         for i in 0..entries {
             let off = 12 + i * 12;
@@ -633,23 +628,18 @@ impl<S: BlockDevice> FileSystem<S> {
         Ok(out)
     }
 
-    /// Resolves `logical` through a depth-1 extent leaf without
-    /// materializing the extent list: same device read and validation as
-    /// [`FileSystem::read_extent_leaf`], but the entries are scanned in
-    /// place (in stored order, matching the materialized `find`).
-    fn extent_leaf_lookup(&mut self, block: FsBlock, logical: u32) -> FsResult<Option<FsBlock>> {
-        let mut buf = [0u8; BLOCK_SIZE];
-        self.read_raw_into(block, &mut buf)?;
-        let entries = self.check_extent_leaf_cached(block, &buf)?;
-        for i in 0..entries {
-            let off = 12 + i * 12;
-            let e_logical = le_u32(&buf, off);
-            let e_len = le_u32(&buf, off + 4);
-            if e_logical <= logical && logical < e_logical + e_len {
-                return Ok(Some(le_u32(&buf, off + 8) + (logical - e_logical)));
-            }
-        }
-        Ok(None)
+    /// The extents of leaf `block`, read into `memo` unless an earlier step
+    /// of the same operation already did. One `memo` serves one inode.
+    fn leaf_extents<'m>(
+        &mut self,
+        block: FsBlock,
+        memo: &'m mut Option<Vec<Extent>>,
+    ) -> FsResult<&'m mut Vec<Extent>> {
+        let extents = match memo.take() {
+            Some(extents) => extents,
+            None => self.read_extent_leaf(block)?,
+        };
+        Ok(memo.insert(extents))
     }
 
     fn write_extent_leaf(&mut self, block: FsBlock, extents: &[Extent]) -> FsResult<()> {
@@ -670,113 +660,109 @@ impl<S: BlockDevice> FileSystem<S> {
 
     // ---- directories -------------------------------------------------------
 
-    fn dir_entries(&mut self, dir: &Inode) -> FsResult<Vec<Dirent>> {
-        let mut out = Vec::new();
-        let blocks = (dir.size as usize).div_ceil(BLOCK_SIZE);
-        for b in 0..blocks as u32 {
-            let Some(fsb) = self.map_block(dir, b)? else {
-                continue;
-            };
-            let buf = self.read_raw(fsb)?;
-            for slot in 0..BLOCK_SIZE / DIRENT_SIZE {
-                let off = slot * DIRENT_SIZE;
-                if u64::from(b) * BLOCK_SIZE as u64 + off as u64 >= dir.size {
-                    break;
-                }
-                if let Some(d) = Dirent::decode(&buf[off..off + DIRENT_SIZE])? {
-                    out.push(d);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn dir_lookup(&mut self, dir: &Inode, name: &str) -> FsResult<Option<Dirent>> {
-        // Streaming scan: same device reads and validation as materializing
-        // the whole directory via `dir_entries` — every block is read and
-        // every live entry decoded (so corruption anywhere still surfaces,
-        // and simulated time is unchanged) — but only the match is copied
-        // out, instead of one heap allocation per entry scanned.
-        let mut found: Option<Dirent> = None;
-        let blocks = (dir.size as usize).div_ceil(BLOCK_SIZE);
+    /// One pass over `dir`: reads each directory block once (its extent leaf
+    /// at most once), decodes every live entry — so corruption anywhere
+    /// still surfaces — and calls `each` on it. Returns the first entry
+    /// named `name` and the slot a new entry would take, each with the
+    /// block it sits in, so the caller rewrites the slot without another
+    /// read.
+    fn dir_scan(
+        &mut self,
+        dir: &Inode,
+        name: Option<&str>,
+        mut each: impl FnMut(DirentRef<'_>),
+    ) -> FsResult<DirScan> {
+        let mut scan = DirScan {
+            found: None,
+            free: None,
+            leaf: None,
+        };
+        let blocks = dir.size.div_ceil(BLOCK_SIZE as u64);
         let mut buf = [0u8; BLOCK_SIZE];
         for b in 0..blocks as u32 {
-            let Some(fsb) = self.map_block(dir, b)? else {
+            let Some(fsb) = self.map_block(dir, b, &mut scan.leaf)? else {
                 continue;
             };
             self.read_raw_into(fsb, &mut buf)?;
-            for slot in 0..BLOCK_SIZE / DIRENT_SIZE {
-                let off = slot * DIRENT_SIZE;
-                if u64::from(b) * BLOCK_SIZE as u64 + off as u64 >= dir.size {
+            for off in (0..BLOCK_SIZE).step_by(DIRENT_SIZE) {
+                let pos = u64::from(b) * BLOCK_SIZE as u64 + off as u64;
+                let slot = || DirSlot {
+                    pos,
+                    fsb,
+                    off,
+                    block: Box::new(buf),
+                };
+                if pos >= dir.size {
+                    // The end of the directory inside its last block.
+                    scan.free.get_or_insert_with(slot);
                     break;
                 }
-                if let Some(d) = DirentRef::decode(&buf[off..off + DIRENT_SIZE])? {
-                    if found.is_none() && d.name == name {
-                        found = Some(d.to_dirent());
+                match DirentRef::decode(&buf[off..off + DIRENT_SIZE])? {
+                    None => {
+                        scan.free.get_or_insert_with(slot);
+                    }
+                    Some(d) => {
+                        if scan.found.is_none() && name == Some(d.name) {
+                            scan.found = Some((d.to_dirent(), slot()));
+                        }
+                        each(d);
                     }
                 }
             }
         }
-        Ok(found)
+        Ok(scan)
     }
 
-    fn dir_insert(&mut self, dir_ino: Ino, dir: &mut Inode, entry: &Dirent) -> FsResult<()> {
-        // Find a free slot in existing blocks.
-        let blocks = (dir.size as usize).div_ceil(BLOCK_SIZE);
-        let mut buf = [0u8; BLOCK_SIZE];
-        for b in 0..blocks as u32 {
-            let Some(fsb) = self.map_block(dir, b)? else {
-                continue;
-            };
-            self.read_raw_into(fsb, &mut buf)?;
-            for slot in 0..BLOCK_SIZE / DIRENT_SIZE {
-                let off = slot * DIRENT_SIZE;
-                if u64::from(b) * BLOCK_SIZE as u64 + off as u64 >= dir.size {
-                    break;
-                }
-                if DirentRef::decode(&buf[off..off + DIRENT_SIZE])?.is_none() {
-                    buf[off..off + DIRENT_SIZE].copy_from_slice(&entry.encode());
-                    self.write_raw(fsb, &buf)?;
-                    return Ok(());
-                }
-            }
-        }
-        // Append a new slot (possibly a new block).
-        let logical = (dir.size / BLOCK_SIZE as u64) as u32;
-        let within = (dir.size % BLOCK_SIZE as u64) as usize;
-        let fsb = self.map_block_alloc(dir, logical)?;
-        let mut buf = self.read_raw(fsb)?;
-        buf[within..within + DIRENT_SIZE].copy_from_slice(&entry.encode());
-        self.write_raw(fsb, &buf)?;
-        dir.size += DIRENT_SIZE as u64;
-        self.write_inode(dir_ino, dir)
+    fn dir_entries(&mut self, dir: &Inode) -> FsResult<Vec<Dirent>> {
+        let mut out = Vec::new();
+        self.dir_scan(dir, None, |d| out.push(d.to_dirent()))?;
+        Ok(out)
     }
 
-    fn dir_remove(&mut self, dir: &Inode, name: &str) -> FsResult<Dirent> {
-        let blocks = (dir.size as usize).div_ceil(BLOCK_SIZE);
-        let mut buf = [0u8; BLOCK_SIZE];
-        for b in 0..blocks as u32 {
-            let Some(fsb) = self.map_block(dir, b)? else {
-                continue;
-            };
-            self.read_raw_into(fsb, &mut buf)?;
-            for slot in 0..BLOCK_SIZE / DIRENT_SIZE {
-                let off = slot * DIRENT_SIZE;
-                if u64::from(b) * BLOCK_SIZE as u64 + off as u64 >= dir.size {
-                    break;
-                }
-                let hit = match DirentRef::decode(&buf[off..off + DIRENT_SIZE])? {
-                    Some(d) if d.name == name => Some(d.to_dirent()),
-                    _ => None,
-                };
-                if let Some(d) = hit {
-                    buf[off..off + DIRENT_SIZE].fill(0);
-                    self.write_raw(fsb, &buf)?;
-                    return Ok(d);
+    /// The entry named `name` in `dir`, with its slot.
+    fn dir_find(&mut self, dir: &Inode, name: &str) -> FsResult<Option<(Dirent, DirSlot)>> {
+        Ok(self.dir_scan(dir, Some(name), |_| {})?.found)
+    }
+
+    /// Writes `entry` into the free slot `scan` found, or into a new block
+    /// when the directory has none, growing the directory when the slot
+    /// lies past its end.
+    fn dir_insert(
+        &mut self,
+        dir_ino: Ino,
+        dir: &mut Inode,
+        scan: DirScan,
+        entry: &Dirent,
+    ) -> FsResult<()> {
+        let DirScan { free, mut leaf, .. } = scan;
+        let mut slot = match free {
+            Some(slot) => slot,
+            None => {
+                let logical = (dir.size / BLOCK_SIZE as u64) as u32;
+                let fsb = self.map_block_alloc(dir, logical, &mut leaf)?;
+                let mut block = Box::new([0u8; BLOCK_SIZE]);
+                self.read_raw_into(fsb, &mut block)?;
+                DirSlot {
+                    pos: dir.size,
+                    fsb,
+                    off: (dir.size % BLOCK_SIZE as u64) as usize,
+                    block,
                 }
             }
+        };
+        slot.block[slot.off..slot.off + DIRENT_SIZE].copy_from_slice(&entry.encode());
+        self.write_raw(slot.fsb, &slot.block)?;
+        if slot.pos >= dir.size {
+            dir.size += DIRENT_SIZE as u64;
+            self.write_inode(dir_ino, dir)?;
         }
-        Err(FsError::NotFound)
+        Ok(())
+    }
+
+    /// Frees `slot`, updating its block copy to match what was written.
+    fn dir_clear(&mut self, slot: &mut DirSlot) -> FsResult<()> {
+        slot.block[slot.off..slot.off + DIRENT_SIZE].fill(0);
+        self.write_raw(slot.fsb, &slot.block)
     }
 
     // ---- path resolution ---------------------------------------------------
@@ -808,8 +794,8 @@ impl<S: BlockDevice> FileSystem<S> {
             if inode.ftype != FileType::Directory {
                 return Err(FsError::NotADirectory);
             }
-            match self.dir_lookup(&inode, part)? {
-                Some(d) => cur = d.ino,
+            match self.dir_find(&inode, part)? {
+                Some((d, _)) => cur = d.ino,
                 None => return Err(FsError::NotFound),
             }
         }
@@ -829,8 +815,8 @@ impl<S: BlockDevice> FileSystem<S> {
             if inode.ftype != FileType::Directory {
                 return Err(FsError::NotADirectory);
             }
-            match self.dir_lookup(&inode, part)? {
-                Some(d) => cur = d.ino,
+            match self.dir_find(&inode, part)? {
+                Some((d, _)) => cur = d.ino,
                 None => return Err(FsError::NotFound),
             }
         }
@@ -856,30 +842,7 @@ impl<S: BlockDevice> FileSystem<S> {
         if self.sb.extents_only && addressing == AddressingMode::Indirect {
             return Err(FsError::PermissionDenied);
         }
-        let (parent_ino, name) = self.resolve_parent(path)?;
-        let mut parent = self.read_inode(parent_ino)?;
-        if parent.ftype != FileType::Directory {
-            return Err(FsError::NotADirectory);
-        }
-        if !Self::can_write(&parent, cred) {
-            return Err(FsError::PermissionDenied);
-        }
-        if self.dir_lookup(&parent, name)?.is_some() {
-            return Err(FsError::Exists);
-        }
-        let ino = self.alloc_ino()?;
-        let inode = Inode::new(FileType::Regular, perms, cred.uid, addressing);
-        self.write_inode(ino, &inode)?;
-        self.dir_insert(
-            parent_ino,
-            &mut parent,
-            &Dirent {
-                ino,
-                ftype: FileType::Regular,
-                name: name.to_owned(),
-            },
-        )?;
-        Ok(ino)
+        self.make_node(path, cred, perms, FileType::Regular, addressing)
     }
 
     /// Creates a directory.
@@ -888,6 +851,24 @@ impl<S: BlockDevice> FileSystem<S> {
     ///
     /// Same classes as [`FileSystem::create`].
     pub fn mkdir(&mut self, path: &str, cred: Credentials, perms: u16) -> FsResult<Ino> {
+        self.make_node(
+            path,
+            cred,
+            perms,
+            FileType::Directory,
+            AddressingMode::Extents,
+        )
+    }
+
+    /// Allocates an inode of type `ftype` and links it at `path`.
+    fn make_node(
+        &mut self,
+        path: &str,
+        cred: Credentials,
+        perms: u16,
+        ftype: FileType,
+        addressing: AddressingMode,
+    ) -> FsResult<Ino> {
         let (parent_ino, name) = self.resolve_parent(path)?;
         let mut parent = self.read_inode(parent_ino)?;
         if parent.ftype != FileType::Directory {
@@ -896,23 +877,20 @@ impl<S: BlockDevice> FileSystem<S> {
         if !Self::can_write(&parent, cred) {
             return Err(FsError::PermissionDenied);
         }
-        if self.dir_lookup(&parent, name)?.is_some() {
+        let scan = self.dir_scan(&parent, Some(name), |_| {})?;
+        if scan.found.is_some() {
             return Err(FsError::Exists);
         }
         let ino = self.alloc_ino()?;
-        let inode = Inode::new(
-            FileType::Directory,
-            perms,
-            cred.uid,
-            AddressingMode::Extents,
-        );
+        let inode = Inode::new(ftype, perms, cred.uid, addressing);
         self.write_inode(ino, &inode)?;
         self.dir_insert(
             parent_ino,
             &mut parent,
+            scan,
             &Dirent {
                 ino,
-                ftype: FileType::Directory,
+                ftype,
                 name: name.to_owned(),
             },
         )?;
@@ -974,7 +952,7 @@ impl<S: BlockDevice> FileSystem<S> {
         if !Self::can_write(&inode, cred) {
             return Err(FsError::PermissionDenied);
         }
-        let fsb = self.map_block_alloc(&mut inode, logical)?;
+        let fsb = self.map_block_alloc(&mut inode, logical, &mut None)?;
         self.write_raw(fsb, data)?;
         inode.size = inode.size.max((u64::from(logical) + 1) * BLOCK_SIZE as u64);
         self.write_inode(ino, &inode)
@@ -1000,7 +978,7 @@ impl<S: BlockDevice> FileSystem<S> {
         if !Self::can_read(&inode, cred) {
             return Err(FsError::PermissionDenied);
         }
-        match self.map_block(&inode, logical)? {
+        match self.map_block(&inode, logical, &mut None)? {
             None => Ok([0u8; BLOCK_SIZE]),
             Some(fsb) => self.read_raw(fsb),
         }
@@ -1017,14 +995,14 @@ impl<S: BlockDevice> FileSystem<S> {
         if !Self::can_write(&parent, cred) {
             return Err(FsError::PermissionDenied);
         }
-        let Some(entry) = self.dir_lookup(&parent, name)? else {
+        let Some((entry, mut slot)) = self.dir_find(&parent, name)? else {
             return Err(FsError::NotFound);
         };
         if entry.ftype == FileType::Directory {
             return Err(FsError::IsADirectory);
         }
         let inode = self.read_inode(entry.ino)?;
-        self.dir_remove(&parent, name)?;
+        self.dir_clear(&mut slot)?;
         self.release_blocks(&inode)?;
         self.free_ino(entry.ino)
     }
@@ -1040,7 +1018,7 @@ impl<S: BlockDevice> FileSystem<S> {
         if !Self::can_write(&parent, cred) {
             return Err(FsError::PermissionDenied);
         }
-        let Some(entry) = self.dir_lookup(&parent, name)? else {
+        let Some((entry, mut slot)) = self.dir_find(&parent, name)? else {
             return Err(FsError::NotFound);
         };
         if entry.ftype != FileType::Directory {
@@ -1050,7 +1028,7 @@ impl<S: BlockDevice> FileSystem<S> {
         if !self.dir_entries(&dir)?.is_empty() {
             return Err(FsError::DirectoryNotEmpty);
         }
-        self.dir_remove(&parent, name)?;
+        self.dir_clear(&mut slot)?;
         self.release_blocks(&dir)?;
         self.free_ino(entry.ino)
     }
@@ -1125,24 +1103,33 @@ impl<S: BlockDevice> FileSystem<S> {
         if !Self::can_write(&from_parent, cred) || !Self::can_write(&to_parent, cred) {
             return Err(FsError::PermissionDenied);
         }
-        let Some(entry) = self.dir_lookup(&from_parent, from_name)? else {
+        let Some((entry, mut from_slot)) = self.dir_find(&from_parent, from_name)? else {
             return Err(FsError::NotFound);
         };
-        if self.dir_lookup(&to_parent, to_name)?.is_some() {
+        let mut to_scan = self.dir_scan(&to_parent, Some(to_name), |_| {})?;
+        if to_scan.found.is_some() {
             return Err(FsError::Exists);
         }
         if to_name.len() > MAX_NAME {
             return Err(FsError::InvalidName);
         }
-        self.dir_remove(&from_parent, from_name)?;
-        // Re-read: removing may have touched shared dir state when both
-        // parents are the same directory.
+        self.dir_clear(&mut from_slot)?;
         if to_parent_ino == from_parent_ino {
-            to_parent = self.read_inode(to_parent_ino)?;
+            // The freed slot may now come first, and a free slot in the
+            // same block must carry the removal.
+            match &mut to_scan.free {
+                Some(free) if free.pos < from_slot.pos => {
+                    if free.fsb == from_slot.fsb {
+                        free.block = from_slot.block;
+                    }
+                }
+                _ => to_scan.free = Some(from_slot),
+            }
         }
         self.dir_insert(
             to_parent_ino,
             &mut to_parent,
+            to_scan,
             &Dirent {
                 ino: entry.ino,
                 ftype: entry.ftype,
@@ -1340,6 +1327,38 @@ impl<S: BlockDevice> FileSystem<S> {
         }
         Ok(())
     }
+}
+
+/// A directory slot found by [`FileSystem::dir_scan`], with a copy of the
+/// block it sits in as the pass read it.
+#[derive(Debug)]
+struct DirSlot {
+    /// Byte offset of the slot within the directory.
+    pos: u64,
+    fsb: FsBlock,
+    /// Byte offset of the slot within `block`.
+    off: usize,
+    block: Box<[u8; BLOCK_SIZE]>,
+}
+
+/// What one [`FileSystem::dir_scan`] pass found.
+#[derive(Debug)]
+struct DirScan {
+    /// The first live entry with the wanted name, and its slot.
+    found: Option<(Dirent, DirSlot)>,
+    /// Where a new entry goes: the first free slot, else the directory's
+    /// end when it lies inside a block the pass read.
+    free: Option<DirSlot>,
+    /// The directory's extent leaf, if the pass read it.
+    leaf: Option<Vec<Extent>>,
+}
+
+/// The block `logical` maps to through the first extent covering it.
+fn extent_find(extents: &[Extent], logical: u32) -> Option<FsBlock> {
+    extents
+        .iter()
+        .find(|e| e.logical <= logical && logical < e.logical + e.len)
+        .map(|e| e.start + (logical - e.logical))
 }
 
 fn nonzero(b: FsBlock) -> Option<FsBlock> {
@@ -1631,7 +1650,7 @@ mod tests {
             .unwrap();
         // Find the secret's data block and the victim's indirect block.
         let s_inode = f.read_inode(secret).unwrap();
-        let secret_block = f.map_block(&s_inode, 0).unwrap().unwrap();
+        let secret_block = f.map_block(&s_inode, 0, &mut None).unwrap().unwrap();
         let v_inode = f.read_inode(victim).unwrap();
         let InodeMap::Indirect { single, .. } = v_inode.map else {
             panic!()
@@ -1832,5 +1851,108 @@ mod tests {
             f.device_mut().populated_blocks() < populated_before,
             "unlink should trim freed blocks"
         );
+    }
+
+    fn block_reads(f: &FileSystem<RamDisk>) -> u64 {
+        f.shared_telemetry()
+            .counter_value("fs.block_reads")
+            .unwrap_or(0)
+    }
+
+    /// Creates `/d` holding `n` files of one data block each, so the
+    /// directory's blocks are not contiguous; returns its inode.
+    fn fragmented_dir(f: &mut FileSystem<RamDisk>, n: usize) -> Inode {
+        let d = f.mkdir("/d", ROOT, 0o755).unwrap();
+        for i in 0..n {
+            let ino = f
+                .create(&format!("/d/f{i}"), ROOT, 0o644, AddressingMode::Extents)
+                .unwrap();
+            f.write_file_block(ino, ROOT, 0, &block_of(1)).unwrap();
+        }
+        f.read_inode(d).unwrap()
+    }
+
+    #[test]
+    fn create_reads_do_not_grow_with_inodes_in_use() {
+        let cost = |in_use: usize| {
+            let mut f = FileSystem::format(RamDisk::new(8192)).unwrap();
+            f.mkdir("/fill", ROOT, 0o755).unwrap();
+            f.mkdir("/d", ROOT, 0o755).unwrap();
+            for i in 0..in_use {
+                f.create(&format!("/fill/{i}"), ROOT, 0o644, AddressingMode::Extents)
+                    .unwrap();
+            }
+            let before = block_reads(&f);
+            f.create("/d/new", ROOT, 0o644, AddressingMode::Extents)
+                .unwrap();
+            block_reads(&f) - before
+        };
+        assert_eq!(cost(10), cost(1000));
+    }
+
+    #[test]
+    fn directory_ops_read_each_directory_block_once() {
+        const K: u64 = 8;
+        // Besides the K directory blocks: the path walk (3), the parent's
+        // inode (2), its extent leaf (1), and at most four bitmap and
+        // inode-table reads for the file created or removed.
+        const FIXED: u64 = 10;
+        let mut f = FileSystem::format(RamDisk::new(8192)).unwrap();
+        let dir = fragmented_dir(&mut f, (K as usize - 1) * BLOCK_SIZE / DIRENT_SIZE + 5);
+        assert_eq!(dir.size.div_ceil(BLOCK_SIZE as u64), K);
+        assert!(matches!(dir.map, InodeMap::Extents { leaf: Some(_), .. }));
+        let before = block_reads(&f);
+        f.create("/d/new", ROOT, 0o644, AddressingMode::Extents)
+            .unwrap();
+        let create = block_reads(&f) - before;
+        assert!(create <= K + FIXED, "create read {create} blocks");
+        let before = block_reads(&f);
+        f.unlink("/d/f0", ROOT).unwrap();
+        let unlink = block_reads(&f) - before;
+        assert!(unlink <= K + FIXED, "unlink read {unlink} blocks");
+        // The freed slot in block 0 is reused by the next create.
+        let ino = f
+            .create("/d/again", ROOT, 0o644, AddressingMode::Extents)
+            .unwrap();
+        assert_eq!(f.lookup("/d/again").unwrap(), ino);
+        let d = f.lookup("/d").unwrap();
+        let grown = f.read_inode(d).unwrap().size;
+        assert_eq!(grown, dir.size + DIRENT_SIZE as u64);
+        assert!(f.fsck().unwrap().is_clean());
+    }
+
+    #[test]
+    fn bad_dirent_in_last_block_fails_create_and_unlink() {
+        let mut f = FileSystem::format(RamDisk::new(8192)).unwrap();
+        let dir = fragmented_dir(&mut f, 2 * BLOCK_SIZE / DIRENT_SIZE + 5);
+        let last = f.map_block(&dir, 2, &mut None).unwrap().unwrap();
+        let mut buf = f.read_raw(last).unwrap();
+        buf[4] = (MAX_NAME + 1) as u8;
+        f.write_raw(last, &buf).unwrap();
+        let err = f
+            .create("/d/new", ROOT, 0o644, AddressingMode::Extents)
+            .unwrap_err();
+        assert!(matches!(err, FsError::Corrupted(_)), "got {err:?}");
+        let err = f.unlink("/d/f0", ROOT).unwrap_err();
+        assert!(matches!(err, FsError::Corrupted(_)), "got {err:?}");
+    }
+
+    #[test]
+    fn corrupted_directory_leaf_fails_create() {
+        let mut f = FileSystem::format(RamDisk::new(8192)).unwrap();
+        let dir = fragmented_dir(&mut f, 6 * BLOCK_SIZE / DIRENT_SIZE);
+        let InodeMap::Extents {
+            leaf: Some(leaf), ..
+        } = dir.map
+        else {
+            panic!("directory should have spilled to a leaf");
+        };
+        let mut buf = f.read_raw(leaf).unwrap();
+        buf[20] ^= 0x04;
+        f.write_raw(leaf, &buf).unwrap();
+        let err = f
+            .create("/d/new", ROOT, 0o644, AddressingMode::Extents)
+            .unwrap_err();
+        assert!(matches!(err, FsError::Corrupted(_)), "got {err:?}");
     }
 }
