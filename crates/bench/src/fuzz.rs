@@ -2,16 +2,22 @@
 //! of host block ops, scrubber pumps, registry-driven hammer bursts, and
 //! armed crash-point cuts, executed against the real [`Ssd`]/FTL stack and
 //! differentially checked — every observable result — against the
-//! [`ShadowDisk`] oracle shared with the torture campaign.
+//! [`ShadowDisk`] oracle.
 //!
-//! The oracle extends PR 9's write/trim/flush shadow to the full contract:
-//! reads must return content the operation history allows, a device that
+//! The executor here is the only crash-consistency executor in the crate:
+//! the torture campaign runs each of its crash points as one schedule
+//! through `SsdFuzz::run`. The oracle checks the full contract: reads
+//! must return content the operation history allows (a wild L2P entry or
+//! a guard mismatch is a failure, never a lawful error), a device that
 //! loudly degraded to read-only must never acknowledge another mutation,
 //! typed errors must be *legal* for the operation that surfaced them
 //! ([`error_is_legal`]), a hammer burst on the invulnerable test module
 //! must never flip a bit, and every power cut — armed mid-operation via
 //! [`FuzzOp::ArmCut`] or clean via [`FuzzOp::PowerCycle`] — must remount
-//! into a state the shadow accepts.
+//! into a state the shadow accepts. After a mid-operation cut, recovery
+//! must also be idempotent: a second recovery from the same flash must
+//! rebuild the same L2P table, replay the same number of journal records,
+//! and agree on the read-only flag and the free-block count.
 //!
 //! On divergence the engine ([`ssdhammer_simkit::fuzz`]) auto-shrinks the
 //! sequence to a minimal repro (ddmin over ops, then per-op parameters),
@@ -21,11 +27,12 @@
 //! regression tests.
 //!
 //! The device under fuzz is deliberately *invulnerable* (no weak DRAM
-//! cells) and fault-free except for the one armed cut: any divergence is a
-//! stack bug, not an injected upset. Victim [`configure`] hooks are not
-//! applied for the same reason — the hammer op drives the registry's
-//! pattern planning and the real `hammer_reads` path, against a module
-//! where the correct observable outcome is "no flips".
+//! cells) and fault-free except for the campaign's base fault plane and
+//! the one armed cut: any divergence is a stack bug, not an injected
+//! upset. Victim [`configure`] hooks are not applied for the same reason —
+//! the hammer op drives the registry's pattern planning and the real
+//! `hammer_reads` path, against a module where the correct observable
+//! outcome is "no flips".
 //!
 //! [`configure`]: ssdhammer_core::attack::Victim::configure
 
@@ -36,12 +43,15 @@ use ssdhammer_dram::HammerOptions;
 use ssdhammer_flash::FlashGeometry;
 use ssdhammer_ftl::{error_is_legal, FtlConfig, FtlError, HostOp, ReadOutcome};
 use ssdhammer_nvme::{Ssd, SsdConfig};
-use ssdhammer_simkit::faultplane::{FaultPlaneConfig, FaultSpec};
+use ssdhammer_simkit::faultplane::{FaultPlane, FaultPlaneConfig};
 use ssdhammer_simkit::fuzz::{run_episode, Failure, FuzzCase, FuzzTarget, ShadowDisk, Verdict};
 use ssdhammer_simkit::json::Json;
 use ssdhammer_simkit::rng::{Rng, SimRng};
-use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::{
+    JsonCodec, ShardCtx, ShardOutcome, SupervisedReport, Supervisor,
+};
 use ssdhammer_simkit::telemetry::Telemetry;
+use ssdhammer_simkit::torture::CrashPoint;
 use ssdhammer_simkit::{Lba, SimDuration, BLOCK_SIZE};
 
 use crate::torture::torture_sites;
@@ -52,7 +62,7 @@ pub const SCHEMA: &str = "ssdhammer-fuzz-v1";
 /// Schema identifier of one persisted corpus case.
 pub const CASE_SCHEMA: &str = "ssdhammer-fuzz-case-v1";
 
-/// LBA span the generator (and the oracle readback) covers.
+/// LBA span the generator covers, and the least span the oracle reads back.
 const SPAN: u64 = 12;
 
 /// Fixed device seed: the op sequence carries all per-episode variation,
@@ -91,7 +101,31 @@ pub enum FuzzOp {
     /// [`torture_sites`]). Execution is a no-op — the *first* `ArmCut` in
     /// the sequence is baked into the device's fault plane at build, so
     /// deleting the op during shrinking removes the cut.
-    ArmCut(u8, u8),
+    ArmCut(u8, u32),
+}
+
+impl FuzzOp {
+    /// The op's tag in case files and failure signatures.
+    fn name(self) -> &'static str {
+        match self {
+            FuzzOp::Read(_) => "read",
+            FuzzOp::Write(..) => "write",
+            FuzzOp::Trim(_) => "trim",
+            FuzzOp::Flush => "flush",
+            FuzzOp::Scrub => "scrub",
+            FuzzOp::Hammer(_) => "hammer",
+            FuzzOp::PowerCycle => "power_cycle",
+            FuzzOp::ArmCut(..) => "arm_cut",
+        }
+    }
+
+    /// The LBA a block op addresses.
+    fn lba(self) -> Option<u64> {
+        match self {
+            FuzzOp::Read(l) | FuzzOp::Write(l, _) | FuzzOp::Trim(l) => Some(l),
+            _ => None,
+        }
+    }
 }
 
 /// Draws one op from the episode stream, write-heavy so state builds up.
@@ -111,7 +145,7 @@ fn gen_op(rng: &mut SimRng) -> FuzzOp {
         87..=92 => FuzzOp::PowerCycle,
         _ => FuzzOp::ArmCut(
             rng.gen_range(0u64..torture_sites().len() as u64) as u8,
-            rng.gen_range(0u64..8) as u8,
+            rng.gen_range(0u64..8) as u32,
         ),
     }
 }
@@ -145,42 +179,40 @@ fn shrink_op(op: &FuzzOp) -> Vec<FuzzOp> {
 }
 
 fn encode_op(op: &FuzzOp) -> Json {
+    let mut fields = vec![("op", Json::str(op.name()))];
     match *op {
-        FuzzOp::Read(l) => Json::obj([("op", Json::str("read")), ("lba", Json::from(l))]),
-        FuzzOp::Write(l, f) => Json::obj([
-            ("op", Json::str("write")),
-            ("lba", Json::from(l)),
-            ("fill", Json::from(u64::from(f))),
-        ]),
-        FuzzOp::Trim(l) => Json::obj([("op", Json::str("trim")), ("lba", Json::from(l))]),
-        FuzzOp::Flush => Json::obj([("op", Json::str("flush"))]),
-        FuzzOp::Scrub => Json::obj([("op", Json::str("scrub"))]),
-        FuzzOp::Hammer(i) => Json::obj([
-            ("op", Json::str("hammer")),
-            ("combo", Json::from(u64::from(i))),
-        ]),
-        FuzzOp::PowerCycle => Json::obj([("op", Json::str("power_cycle"))]),
-        FuzzOp::ArmCut(site, crossing) => Json::obj([
-            ("op", Json::str("arm_cut")),
-            ("site", Json::from(u64::from(site))),
-            ("crossing", Json::from(u64::from(crossing))),
-        ]),
+        FuzzOp::Read(l) | FuzzOp::Trim(l) => fields.push(("lba", Json::from(l))),
+        FuzzOp::Write(l, f) => {
+            fields.push(("lba", Json::from(l)));
+            fields.push(("fill", Json::from(u64::from(f))));
+        }
+        FuzzOp::Hammer(i) => fields.push(("combo", Json::from(u64::from(i)))),
+        FuzzOp::ArmCut(site, crossing) => {
+            fields.push(("site", Json::from(u64::from(site))));
+            fields.push(("crossing", Json::from(u64::from(crossing))));
+        }
+        FuzzOp::Flush | FuzzOp::Scrub | FuzzOp::PowerCycle => {}
     }
+    Json::obj(fields)
 }
 
+/// Decodes one op of a case file. Case files come from outside the
+/// program, so an LBA outside the generator's span is rejected rather
+/// than indexed.
 fn decode_op(j: &Json) -> Option<FuzzOp> {
     let field = |k: &str| j.get(k).and_then(Json::as_u64);
+    let lba = || field("lba").filter(|&l| l < SPAN);
     Some(match j.get("op").and_then(Json::as_str)? {
-        "read" => FuzzOp::Read(field("lba")?),
-        "write" => FuzzOp::Write(field("lba")?, u8::try_from(field("fill")?).ok()?),
-        "trim" => FuzzOp::Trim(field("lba")?),
+        "read" => FuzzOp::Read(lba()?),
+        "write" => FuzzOp::Write(lba()?, u8::try_from(field("fill")?).ok()?),
+        "trim" => FuzzOp::Trim(lba()?),
         "flush" => FuzzOp::Flush,
         "scrub" => FuzzOp::Scrub,
         "hammer" => FuzzOp::Hammer(u8::try_from(field("combo")?).ok()?),
         "power_cycle" => FuzzOp::PowerCycle,
         "arm_cut" => FuzzOp::ArmCut(
             u8::try_from(field("site")?).ok()?,
-            u8::try_from(field("crossing")?).ok()?,
+            u32::try_from(field("crossing")?).ok()?,
         ),
         _ => return None,
     })
@@ -203,22 +235,36 @@ impl Default for SsdFuzz {
     }
 }
 
+/// What one run of a schedule observed: the oracle's verdict plus what
+/// the torture campaign grades a passing run by.
+#[derive(Debug)]
+pub(crate) struct Run {
+    /// The oracle's verdict.
+    pub verdict: Verdict,
+    /// Lawful errors and loud degradations (read-only after recovery, a
+    /// failed recovery), in the order they happened.
+    pub loud: Vec<String>,
+    /// The device's fault plane: per-site consults and fires.
+    pub plane: FaultPlane,
+}
+
 impl SsdFuzz {
     /// The device-under-fuzz configuration for a given op sequence: tiny
-    /// geometry, journal every mutation, resident metadata (torture's
-    /// recovery-critical shape), and at most one armed crash point — the
-    /// sequence's first [`FuzzOp::ArmCut`].
-    fn config(&self, ops: &[FuzzOp]) -> SsdConfig {
+    /// geometry, journal every mutation, resident metadata (the
+    /// recovery-critical shape), and `base` plus at most one armed crash
+    /// point — the sequence's first [`FuzzOp::ArmCut`].
+    fn config(&self, ops: &[FuzzOp], base: &FaultPlaneConfig) -> SsdConfig {
         let sites = torture_sites();
-        let mut faults = FaultPlaneConfig::new();
+        let mut faults = base.clone();
         if let Some(FuzzOp::ArmCut(site, crossing)) =
             ops.iter().find(|op| matches!(op, FuzzOp::ArmCut(..)))
         {
-            let k = u64::from(*crossing);
-            faults = faults.with_site(
-                sites[usize::from(*site) % sites.len()],
-                FaultSpec::always().with_window(k, k + 1).with_max_fires(1),
-            );
+            let point = CrashPoint {
+                site: sites[usize::from(*site) % sites.len()].to_string(),
+                index: u64::from(*crossing),
+            };
+            let spec = point.spec();
+            faults = faults.with_site(point.site, spec);
         }
         SsdConfig::test_small(DEVICE_SEED)
             .with_flash_geometry(FlashGeometry::tiny_test())
@@ -231,79 +277,42 @@ impl SsdFuzz {
             )
             .with_fault_plane(faults)
     }
-}
 
-/// Executor state threaded through one sequence.
-struct Exec {
-    ssd: Ssd,
-    config: SsdConfig,
-    shadow: ShadowDisk,
-    /// Whether the sequence armed a cut (PowerLoss legality).
-    cut_armed: bool,
-}
-
-impl Exec {
-    /// Remounts after a power cut and oracle-checks the recovered state:
-    /// the full span must read back content the shadow allows.
-    fn remount(&mut self, ssd: Ssd) -> Result<(), Failure> {
-        match ssd.power_cycle(&self.config) {
-            Ok(s) => {
-                self.ssd = s;
-                if self.ssd.ftl().is_read_only() {
-                    self.shadow.mark_read_only();
-                }
-                self.readback("recover")
+    /// Runs `ops` on a fresh device whose fault plane is `base` plus the
+    /// sequence's armed cut, checking every result against a shadow that
+    /// covers every LBA the ops address (at least [`SPAN`]), and ends with
+    /// a full readback.
+    pub(crate) fn run(&self, ops: &[FuzzOp], base: &FaultPlaneConfig) -> Run {
+        let config = self.config(ops, base);
+        let span = ops
+            .iter()
+            .filter_map(|op| op.lba())
+            .map(|l| l + 1)
+            .fold(SPAN, u64::max);
+        let mut x = Exec {
+            config: &config,
+            shadow: ShadowDisk::new(span),
+            cut_armed: ops.iter().any(|op| matches!(op, FuzzOp::ArmCut(..))),
+            loud: Vec::new(),
+        };
+        let (result, plane) = match Ssd::try_build(config.clone()) {
+            Ok(ssd) => {
+                let plane = ssd.ftl().fault_plane().clone();
+                (x.run(ssd, ops), plane)
             }
-            // Recovery failing loudly is lawful degradation; the episode
-            // simply ends with nothing left to check.
-            Err(_) => Err(Failure {
-                signature: "episode.over".to_string(),
-                detail: String::new(),
-            }),
+            Err(e) => (
+                Err(Failure {
+                    signature: "build.failed".to_string(),
+                    detail: format!("device assembly failed: {e}"),
+                }),
+                FaultPlane::new(config.seed, &config.fault_plane),
+            ),
+        };
+        Run {
+            verdict: result.map_or_else(Verdict::Fail, |()| Verdict::Pass),
+            loud: x.loud,
+            plane,
         }
-    }
-
-    /// Full-span differential readback. `stage` prefixes the signature so
-    /// a post-recovery divergence buckets apart from a steady-state one.
-    fn readback(&mut self, stage: &str) -> Result<(), Failure> {
-        let mut buf = vec![0u8; BLOCK_SIZE];
-        for lba in 0..self.shadow.span() {
-            match self.ssd.ftl_mut().read(Lba(lba), &mut buf) {
-                Ok(ReadOutcome::Wild { entry }) => {
-                    return Err(Failure {
-                        signature: format!("{stage}.wild_entry"),
-                        detail: format!("lba {lba}: wild L2P entry {entry:#x}"),
-                    });
-                }
-                Ok(ReadOutcome::GuardMismatch { ppn }) => {
-                    return Err(Failure {
-                        signature: format!("{stage}.guard_mismatch"),
-                        detail: format!("lba {lba}: guard mismatch at {ppn}"),
-                    });
-                }
-                Ok(_) => {
-                    if !self.shadow.acceptable(lba, &buf) {
-                        return Err(Failure {
-                            signature: format!("{stage}.divergence"),
-                            detail: format!(
-                                "lba {lba}: read fill {:#04x}, shadow allows {}",
-                                buf[0],
-                                self.shadow.describe(lba)
-                            ),
-                        });
-                    }
-                }
-                Err(e) => {
-                    if !error_is_legal(HostOp::Read, &e, self.cut_armed) {
-                        return Err(Failure {
-                            signature: format!("{stage}.illegal_error.{}", e.signature()),
-                            detail: format!("lba {lba}: illegal read error: {e}"),
-                        });
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -319,228 +328,257 @@ impl FuzzTarget for SsdFuzz {
     }
 
     fn execute(&self, ops: &[FuzzOp]) -> Verdict {
-        match self.execute_inner(ops) {
-            Ok(()) => Verdict::Pass,
-            // "episode.over" is the lawful-early-end sentinel, not a bug.
-            Err(f) if f.signature == "episode.over" => Verdict::Pass,
-            Err(f) => Verdict::Fail(f),
+        self.run(ops, &FaultPlaneConfig::new()).verdict
+    }
+}
+
+/// Oracle state threaded through one schedule. The device itself moves
+/// through [`Exec::step`] by value, so a remount consumes it and hands
+/// back the recovered one.
+struct Exec<'a> {
+    config: &'a SsdConfig,
+    shadow: ShadowDisk,
+    /// Whether the sequence armed a cut (PowerLoss legality).
+    cut_armed: bool,
+    loud: Vec<String>,
+}
+
+/// What a recovery rebuilt; two recoveries from one flash must agree.
+#[derive(Debug, PartialEq)]
+struct Recovered {
+    l2p: Result<Vec<u8>, FtlError>,
+    replayed: u64,
+    read_only: bool,
+    free_blocks: usize,
+}
+
+impl Recovered {
+    /// `ssd` just recovered; the device registry read `replayed_before`
+    /// journal records before it did.
+    fn of(ssd: &Ssd, replayed_before: u64) -> Recovered {
+        let ftl = ssd.ftl();
+        Recovered {
+            l2p: ftl.l2p_snapshot(),
+            replayed: ftl.telemetry().journal_replayed - replayed_before,
+            read_only: ftl.is_read_only(),
+            free_blocks: ftl.free_block_count(),
         }
     }
 }
 
-impl SsdFuzz {
-    fn execute_inner(&self, ops: &[FuzzOp]) -> Result<(), Failure> {
-        let config = self.config(ops);
-        let ssd = Ssd::try_build(config.clone()).map_err(|e| Failure {
-            signature: "build.failed".to_string(),
-            detail: format!("device assembly failed: {e}"),
-        })?;
-        let mut x = Exec {
-            ssd,
-            config,
-            shadow: ShadowDisk::new(SPAN),
-            cut_armed: ops.iter().any(|op| matches!(op, FuzzOp::ArmCut(..))),
-        };
+fn not_idempotent(detail: String) -> Failure {
+    Failure {
+        signature: "recover.not_idempotent".to_string(),
+        detail: format!("recovery not idempotent: {detail}"),
+    }
+}
+
+impl Exec<'_> {
+    /// Runs the schedule, then reads the whole span back.
+    fn run(&mut self, mut ssd: Ssd, ops: &[FuzzOp]) -> Result<(), Failure> {
         for &op in ops {
-            self.step(&mut x, op)?;
+            match self.step(ssd, op)? {
+                Some(next) => ssd = next,
+                // Recovery failed loudly: lawful degradation, and nothing
+                // is left to check.
+                None => return Ok(()),
+            }
         }
-        x.readback("final")
+        self.readback(&mut ssd, "final")
     }
 
-    /// Executes one op and checks its observable result. `Err` carries
-    /// either a real divergence or the `episode.over` sentinel.
-    fn step(&self, x: &mut Exec, op: FuzzOp) -> Result<(), Failure> {
-        let cut_armed = x.cut_armed;
-        let illegal = |host_op: HostOp, what: &str, e: &FtlError| -> Option<Failure> {
-            (!error_is_legal(host_op, e, cut_armed)).then(|| Failure {
-                signature: format!("{what}.illegal_error.{}", e.signature()),
-                detail: format!("illegal {what} error: {e}"),
+    /// Executes one op and checks its observable result. `None` means a
+    /// remount failed loudly and the episode is over.
+    fn step(&mut self, mut ssd: Ssd, op: FuzzOp) -> Result<Option<Ssd>, Failure> {
+        let (host_op, result) = match op {
+            FuzzOp::Read(lba) => (HostOp::Read, self.check_read(&mut ssd, lba, "read")?),
+            FuzzOp::Write(lba, fill) => (
+                HostOp::Write,
+                ssd.ftl_mut().write(Lba(lba), &[fill; BLOCK_SIZE]).map(drop),
+            ),
+            FuzzOp::Trim(lba) => (HostOp::Trim, ssd.ftl_mut().trim(Lba(lba))),
+            FuzzOp::Flush => (HostOp::Flush, ssd.ftl_mut().flush()),
+            FuzzOp::Scrub => (HostOp::Scrub, ssd.ftl_mut().scrub_chunk(8, 4)),
+            FuzzOp::Hammer(i) => (HostOp::Hammer, hammer(&mut ssd, i)?),
+            FuzzOp::PowerCycle => return self.remount(ssd, false),
+            FuzzOp::ArmCut(..) => return Ok(Some(ssd)), // baked into the fault plane at build
+        };
+        match (result, op) {
+            (Ok(()), FuzzOp::Write(lba, _) | FuzzOp::Trim(lba)) if self.shadow.read_only() => {
+                return Err(Failure {
+                    signature: format!("{}.succeeded_read_only", op.name()),
+                    detail: format!(
+                        "lba {lba}: {} acknowledged after read-only degradation",
+                        op.name()
+                    ),
+                });
+            }
+            (Ok(()), FuzzOp::Write(lba, fill)) => self.shadow.commit_write(lba, fill),
+            (Ok(()), FuzzOp::Trim(lba)) => self.shadow.commit_trim(lba),
+            (Ok(()), _) => {}
+            (Err(FtlError::PowerLoss), _) if self.cut_armed => {
+                match op {
+                    FuzzOp::Write(lba, fill) => self.shadow.interrupt_write(lba, fill),
+                    FuzzOp::Trim(lba) => self.shadow.interrupt_trim(lba),
+                    // Reads, flushes, scrubs and bursts change no LBA the
+                    // host can name: no uncertainty to record.
+                    _ => {}
+                }
+                return self.remount(ssd, true);
+            }
+            (Err(e), _) => self.lawful(op.name(), host_op, &e)?,
+        }
+        Ok(Some(ssd))
+    }
+
+    /// Accepts a typed error only when it is legal for `host_op`, and logs
+    /// it as loud; a read-only answer makes the shadow read-only too.
+    fn lawful(&mut self, stage: &str, host_op: HostOp, e: &FtlError) -> Result<(), Failure> {
+        if !error_is_legal(host_op, e, self.cut_armed) {
+            return Err(Failure {
+                signature: format!("{stage}.illegal_error.{}", e.signature()),
+                detail: format!("illegal {stage} error: {e}"),
+            });
+        }
+        if *e == FtlError::ReadOnly {
+            self.shadow.mark_read_only();
+        }
+        self.loud.push(format!("{stage}: {e}"));
+        Ok(())
+    }
+
+    /// Reads `lba` and checks the payload against the shadow. The outer
+    /// `Err` is a divergence; the inner one is the device's typed error,
+    /// for the caller to judge.
+    fn check_read(
+        &self,
+        ssd: &mut Ssd,
+        lba: u64,
+        stage: &str,
+    ) -> Result<Result<(), FtlError>, Failure> {
+        let mut buf = vec![0u8; BLOCK_SIZE];
+        let fail = |what: &str, detail: String| {
+            Err(Failure {
+                signature: format!("{stage}.{what}"),
+                detail: format!("lba {lba}: {detail}"),
             })
         };
-        match op {
-            FuzzOp::Read(lba) => {
-                // Per-op read check: the same oracle as the readback pass,
-                // scoped to one LBA.
-                let mut buf = vec![0u8; BLOCK_SIZE];
-                match x.ssd.ftl_mut().read(Lba(lba), &mut buf) {
-                    Ok(ReadOutcome::Wild { entry }) => {
-                        return Err(Failure {
-                            signature: "read.wild_entry".to_string(),
-                            detail: format!("lba {lba}: wild L2P entry {entry:#x}"),
-                        });
-                    }
-                    Ok(ReadOutcome::GuardMismatch { ppn }) => {
-                        return Err(Failure {
-                            signature: "read.guard_mismatch".to_string(),
-                            detail: format!("lba {lba}: guard mismatch at {ppn}"),
-                        });
-                    }
-                    Ok(_) => {
-                        if !x.shadow.acceptable(lba, &buf) {
-                            return Err(Failure {
-                                signature: "read.divergence".to_string(),
-                                detail: format!(
-                                    "lba {lba}: read fill {:#04x}, shadow allows {}",
-                                    buf[0],
-                                    x.shadow.describe(lba)
-                                ),
-                            });
-                        }
-                    }
-                    Err(FtlError::PowerLoss) => {
-                        // A read changes nothing; no uncertainty to record.
-                        let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                        return x.remount(ssd);
-                    }
-                    Err(e) => {
-                        if let Some(f) = illegal(HostOp::Read, "read", &e) {
-                            return Err(f);
-                        }
-                    }
-                }
+        match ssd.ftl_mut().read(Lba(lba), &mut buf) {
+            Ok(ReadOutcome::Wild { entry }) => {
+                fail("wild_entry", format!("wild L2P entry {entry:#x}"))
             }
-            FuzzOp::Write(lba, fill) => {
-                let data = vec![fill; BLOCK_SIZE];
-                match x.ssd.ftl_mut().write(Lba(lba), &data) {
-                    Ok(_) => {
-                        if x.shadow.read_only() {
-                            return Err(Failure {
-                                signature: "write.succeeded_read_only".to_string(),
-                                detail: format!(
-                                    "lba {lba}: write acknowledged after read-only degradation"
-                                ),
-                            });
-                        }
-                        x.shadow.commit_write(lba, fill);
-                    }
-                    Err(FtlError::PowerLoss) => {
-                        x.shadow.interrupt_write(lba, fill);
-                        let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                        return x.remount(ssd);
-                    }
-                    Err(FtlError::ReadOnly) => x.shadow.mark_read_only(),
-                    Err(e) => {
-                        if let Some(f) = illegal(HostOp::Write, "write", &e) {
-                            return Err(f);
-                        }
-                    }
-                }
+            Ok(ReadOutcome::GuardMismatch { ppn }) => {
+                fail("guard_mismatch", format!("guard mismatch at {ppn}"))
             }
-            FuzzOp::Trim(lba) => match x.ssd.ftl_mut().trim(Lba(lba)) {
-                Ok(()) => {
-                    if x.shadow.read_only() {
-                        return Err(Failure {
-                            signature: "trim.succeeded_read_only".to_string(),
-                            detail: format!(
-                                "lba {lba}: trim acknowledged after read-only degradation"
-                            ),
-                        });
-                    }
-                    x.shadow.commit_trim(lba);
-                }
-                Err(FtlError::PowerLoss) => {
-                    x.shadow.interrupt_trim(lba);
-                    let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                    return x.remount(ssd);
-                }
-                Err(FtlError::ReadOnly) => x.shadow.mark_read_only(),
-                Err(e) => {
-                    if let Some(f) = illegal(HostOp::Trim, "trim", &e) {
-                        return Err(f);
-                    }
-                }
-            },
-            FuzzOp::Flush => match x.ssd.ftl_mut().flush() {
-                Ok(()) => {}
-                Err(FtlError::PowerLoss) => {
-                    let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                    return x.remount(ssd);
-                }
-                Err(FtlError::ReadOnly) => x.shadow.mark_read_only(),
-                Err(e) => {
-                    if let Some(f) = illegal(HostOp::Flush, "flush", &e) {
-                        return Err(f);
-                    }
-                }
-            },
-            FuzzOp::Scrub => match x.ssd.ftl_mut().scrub_chunk(8, 4) {
-                Ok(()) => {}
-                Err(FtlError::PowerLoss) => {
-                    let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                    return x.remount(ssd);
-                }
-                Err(FtlError::ReadOnly) => x.shadow.mark_read_only(),
-                Err(e) => {
-                    if let Some(f) = illegal(HostOp::Scrub, "scrub", &e) {
-                        return Err(f);
-                    }
-                }
-            },
-            FuzzOp::Hammer(i) => return self.hammer(x, i),
-            FuzzOp::PowerCycle => {
-                let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                return x.remount(ssd);
+            Ok(_) if !self.shadow.acceptable(lba, &buf) => fail(
+                "divergence",
+                format!(
+                    "read fill {:#04x}, shadow allows {}",
+                    buf[0],
+                    self.shadow.describe(lba)
+                ),
+            ),
+            Ok(_) => Ok(Ok(())),
+            Err(e) => Ok(Err(e)),
+        }
+    }
+
+    /// Full-span differential readback. `stage` prefixes the signature so
+    /// a post-recovery divergence buckets apart from a steady-state one.
+    fn readback(&mut self, ssd: &mut Ssd, stage: &str) -> Result<(), Failure> {
+        for lba in 0..self.shadow.span() {
+            if let Err(e) = self.check_read(ssd, lba, stage)? {
+                self.lawful(stage, HostOp::Read, &e)?;
             }
-            FuzzOp::ArmCut(..) => {} // baked into the fault plane at build
         }
         Ok(())
     }
 
-    /// One registry-driven hammer burst: plan the combo's pattern over the
-    /// victim's target rows; when the invulnerable module yields no
-    /// plannable sites (the common case), aim the burst at mapped-span
-    /// entries so the real `hammer_reads` path still runs. Either way the
-    /// oracle is the same: a lawful result and zero flips.
-    fn hammer(&self, x: &mut Exec, i: u8) -> Result<(), Failure> {
-        let grid = combos();
-        let (pattern, victim_name) = grid[usize::from(i) % grid.len()];
-        let victim = make_victim(victim_name).expect("registered victim");
-        let targets = victim.target_rows(x.ssd.ftl());
-        let sites = enumerate_sites(x.ssd.ftl(), &targets);
-        let hammerer = make_hammerer(pattern).expect("registered pattern");
-        let result = match hammerer.plan(&sites) {
-            Ok(plan) => x.ssd.ftl_mut().hammer_reads_with(
-                &plan.pattern,
-                HAMMER_REQUESTS,
-                HAMMER_RATE * plan.rate_scale,
-                plan.opts,
-            ),
-            Err(_) => {
-                let lbas = [Lba(u64::from(i) % SPAN), Lba((u64::from(i) + 1) % SPAN)];
-                x.ssd.ftl_mut().hammer_reads_with(
-                    &lbas,
-                    HAMMER_REQUESTS,
-                    HAMMER_RATE,
-                    HammerOptions::default(),
-                )
+    /// Pulls the power and remounts, then checks the recovered device.
+    /// After a mid-operation cut (`cut`) the device recovers twice from the
+    /// same flash, and both recoveries must rebuild the same state; a
+    /// clean power cycle recovers once. `None`: recovery failed loudly.
+    fn remount(&mut self, ssd: Ssd, cut: bool) -> Result<Option<Ssd>, Failure> {
+        let replayed = |s: &Ssd| s.ftl().telemetry().journal_replayed;
+        let before = replayed(&ssd);
+        let mut ssd = match ssd.power_cycle(self.config) {
+            Ok(s) => s,
+            Err(e) => {
+                self.loud.push(format!("recover failed: {e}"));
+                return Ok(None);
             }
         };
-        match result {
-            Ok(report) => {
-                if !report.flips.is_empty() {
-                    return Err(Failure {
-                        signature: "hammer.flips_on_invulnerable".to_string(),
-                        detail: format!(
-                            "{} flips from {pattern}x{victim_name} on the invulnerable module",
-                            report.flips.len()
-                        ),
-                    });
-                }
+        if cut {
+            let once = Recovered::of(&ssd, before);
+            if let Err(e) = &once.l2p {
+                self.loud.push(format!("l2p snapshot failed: {e}"));
             }
-            Err(FtlError::PowerLoss) => {
-                let ssd = std::mem::replace(&mut x.ssd, Ssd::build(x.config.clone()));
-                return x.remount(ssd);
-            }
-            Err(e) => {
-                if !error_is_legal(HostOp::Hammer, &e, x.cut_armed) {
-                    return Err(Failure {
-                        signature: format!("hammer.illegal_error.{}", e.signature()),
-                        detail: format!("illegal hammer error: {e}"),
-                    });
-                }
+            let between = replayed(&ssd);
+            ssd = ssd
+                .power_cycle(self.config)
+                .map_err(|e| not_idempotent(format!("second remount failed: {e}")))?;
+            let twice = Recovered::of(&ssd, between);
+            if once != twice {
+                let l2p = if once.l2p == twice.l2p {
+                    "same"
+                } else {
+                    "different"
+                };
+                return Err(not_idempotent(format!(
+                    "{l2p} L2P; replayed, read-only, free blocks {:?} then {:?}",
+                    (once.replayed, once.read_only, once.free_blocks),
+                    (twice.replayed, twice.read_only, twice.free_blocks)
+                )));
             }
         }
-        Ok(())
+        if ssd.ftl().is_read_only() {
+            self.shadow.mark_read_only();
+            self.loud
+                .push("device read-only after recovery".to_string());
+        }
+        self.readback(&mut ssd, "recover")?;
+        Ok(Some(ssd))
+    }
+}
+
+/// One registry-driven hammer burst: plan the combo's pattern over the
+/// victim's target rows; when the invulnerable module yields no plannable
+/// sites (the common case), aim the burst at mapped-span entries so the
+/// real `hammer_reads` path still runs. Either way the oracle is the same:
+/// a lawful result and zero flips.
+fn hammer(ssd: &mut Ssd, i: u8) -> Result<Result<(), FtlError>, Failure> {
+    let grid = combos();
+    let (pattern, victim_name) = grid[usize::from(i) % grid.len()];
+    let victim = make_victim(victim_name).expect("registered victim");
+    let targets = victim.target_rows(ssd.ftl());
+    let sites = enumerate_sites(ssd.ftl(), &targets);
+    let hammerer = make_hammerer(pattern).expect("registered pattern");
+    let result = match hammerer.plan(&sites) {
+        Ok(plan) => ssd.ftl_mut().hammer_reads_with(
+            &plan.pattern,
+            HAMMER_REQUESTS,
+            HAMMER_RATE * plan.rate_scale,
+            plan.opts,
+        ),
+        Err(_) => {
+            let lbas = [Lba(u64::from(i) % SPAN), Lba((u64::from(i) + 1) % SPAN)];
+            ssd.ftl_mut().hammer_reads_with(
+                &lbas,
+                HAMMER_REQUESTS,
+                HAMMER_RATE,
+                HammerOptions::default(),
+            )
+        }
+    };
+    match result {
+        Ok(report) if !report.flips.is_empty() => Err(Failure {
+            signature: "hammer.flips_on_invulnerable".to_string(),
+            detail: format!(
+                "{} flips from {pattern}x{victim_name} on the invulnerable module",
+                report.flips.len()
+            ),
+        }),
+        result => Ok(result.map(drop)),
     }
 }
 
@@ -664,6 +702,45 @@ fn run_one(target: &SsdFuzz, seed: u64) -> EpisodeOutcome {
     }
 }
 
+/// Runs the shards of a crash-consistency campaign — torture's crash
+/// points or fuzz's episodes — under the supervisor set-up both share: a
+/// 600 s sim-time budget per shard, one retry, `--abort-after` as a stop
+/// count, and `--checkpoint`/`--resume` through `codec`. Returns the merged
+/// report and the registry holding its `supervisor.*` counters.
+///
+/// # Panics
+///
+/// Panics when the checkpoint file cannot be written.
+pub(crate) fn supervise<T, F>(
+    sup: Supervisor,
+    shards: usize,
+    checkpoint: Option<&Path>,
+    resume: bool,
+    abort_after: Option<usize>,
+    codec: JsonCodec<T>,
+    shard: F,
+) -> (SupervisedReport<T>, Telemetry)
+where
+    T: Send,
+    F: Fn(&ShardCtx) -> T + Sync,
+{
+    let registry = Telemetry::new();
+    let mut sup = sup
+        .with_sim_budget(SimDuration::from_secs(600))
+        .with_max_retries(1)
+        .attach_telemetry(&registry);
+    if let Some(n) = abort_after {
+        sup = sup.with_stop_after(n);
+    }
+    let report = match checkpoint {
+        Some(path) => sup
+            .run_checkpointed(shards, path, resume, codec, shard)
+            .expect("campaign checkpoint"),
+        None => sup.run(shards, shard),
+    };
+    (report, registry)
+}
+
 /// Runs the soak campaign: `episodes` supervised episodes, divergences
 /// auto-shrunk and bucketed into the structured result document. The
 /// document is bit-identical for any `threads`, and — when checkpointed,
@@ -672,63 +749,37 @@ fn run_one(target: &SsdFuzz, seed: u64) -> EpisodeOutcome {
 pub fn run_soak(seed: u64, threads: usize, opts: &FuzzOpts<'_>) -> Json {
     let episodes = episode_count(opts);
     let target = SsdFuzz::default();
-    let registry = Telemetry::new();
-    let mut sup = Supervisor::new(seed)
-        .with_tag("fuzz")
-        .with_threads(threads)
-        .with_sim_budget(SimDuration::from_secs(600))
-        .with_max_retries(1)
-        .attach_telemetry(&registry);
-    if let Some(n) = opts.abort_after {
-        sup = sup.with_stop_after(n);
-    }
-    let shard = |ctx: &ssdhammer_simkit::supervisor::ShardCtx| run_one(&target, ctx.trial.seed);
-    let report = match opts.checkpoint {
-        Some(path) => {
-            let codec = JsonCodec {
-                encode: encode_outcome,
-                decode: decode_outcome,
-            };
-            sup.run_checkpointed(episodes, path, opts.resume, codec, shard)
-                .expect("fuzz checkpoint")
-        }
-        None => sup.run(episodes, shard),
-    };
-    count_outcomes(&registry, &report);
-    document(seed, episodes, &report)
+    let (report, registry) = supervise(
+        Supervisor::new(seed).with_tag("fuzz").with_threads(threads),
+        episodes,
+        opts.checkpoint,
+        opts.resume,
+        opts.abort_after,
+        JsonCodec {
+            encode: encode_outcome,
+            decode: decode_outcome,
+        },
+        |ctx| run_one(&target, ctx.trial.seed),
+    );
+    document(seed, episodes, &report, &registry)
 }
 
-/// Registers and bumps the `fuzz.*` counters from the merged report.
-fn count_outcomes(registry: &Telemetry, report: &SupervisedReport<EpisodeOutcome>) {
-    let mut divergences = 0u64;
-    let mut shrink_execs = 0u64;
-    let mut bursts = 0u64;
-    for o in report.values() {
-        bursts += o.hammer_bursts;
-        if let Some(f) = &o.failure {
-            divergences += 1;
-            shrink_execs += f.shrink_execs as u64;
-        }
-    }
-    registry
-        .counter("fuzz.episodes")
-        .add(report.values().count() as u64);
-    registry.counter("fuzz.divergences").add(divergences);
-    registry.counter("fuzz.shrink_execs").add(shrink_execs);
-    registry.counter("fuzz.hammer.bursts").add(bursts);
-}
-
-/// Assembles the soak result document. `resumed` is deliberately omitted:
-/// it differs between a resumed and an uninterrupted run, and the
-/// document must not.
-fn document(seed: u64, episodes: usize, report: &SupervisedReport<EpisodeOutcome>) -> Json {
+/// Assembles the soak result document and bumps the `fuzz.*` counters
+/// from the same tallies. `resumed` is deliberately omitted: it differs
+/// between a resumed and an uninterrupted run, and the document must not.
+fn document(
+    seed: u64,
+    episodes: usize,
+    report: &SupervisedReport<EpisodeOutcome>,
+    registry: &Telemetry,
+) -> Json {
     let mut pass = 0u64;
     let mut bursts = 0u64;
     let mut shrink_execs = 0u64;
     let mut buckets: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
     let mut failures = Vec::new();
     for (i, outcome) in report.outcomes.iter().enumerate() {
-        let ssdhammer_simkit::supervisor::ShardOutcome::Ok(o) = outcome else {
+        let ShardOutcome::Ok(o) = outcome else {
             continue;
         };
         bursts += o.hammer_bursts;
@@ -751,6 +802,10 @@ fn document(seed: u64, episodes: usize, report: &SupervisedReport<EpisodeOutcome
         }
     }
     let fail = failures.len() as u64;
+    registry.counter("fuzz.episodes").add(pass + fail);
+    registry.counter("fuzz.divergences").add(fail);
+    registry.counter("fuzz.shrink_execs").add(shrink_execs);
+    registry.counter("fuzz.hammer.bursts").add(bursts);
     Json::obj([
         ("schema", Json::str(SCHEMA)),
         ("mode", Json::str("soak")),
@@ -785,18 +840,6 @@ fn document(seed: u64, episodes: usize, report: &SupervisedReport<EpisodeOutcome
 }
 
 // ---- corpus -----------------------------------------------------------------
-
-/// Serializes a minimized case in the corpus file format.
-#[must_use]
-pub fn case_to_json(name: &str, seed: u64, signature: &str, ops: &[FuzzOp]) -> Json {
-    Json::obj([
-        ("schema", Json::str(CASE_SCHEMA)),
-        ("name", Json::str(name)),
-        ("seed", Json::from(seed)),
-        ("signature", Json::str(signature)),
-        ("ops", Json::Arr(ops.iter().map(encode_op).collect())),
-    ])
-}
 
 fn case_from_json(doc: &Json) -> Option<(String, Vec<FuzzOp>)> {
     if doc.get("schema").and_then(Json::as_str) != Some(CASE_SCHEMA) {
@@ -1085,6 +1128,25 @@ mod tests {
             SsdFuzz { verify_crc: false }.execute(&ops),
             Verdict::Fail(_)
         ));
+    }
+
+    #[test]
+    fn replay_rejects_a_case_with_an_out_of_span_lba() {
+        let mut dir = std::env::temp_dir();
+        dir.push(format!("ssdhammer-fuzz-span-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let case = format!(
+            r#"{{"schema":"{CASE_SCHEMA}","name":"out-of-span","seed":0,"signature":"x","ops":[{{"op":"write","lba":{SPAN},"fill":1}}]}}"#
+        );
+        std::fs::write(dir.join("case.json"), case).unwrap();
+        let doc = run_replay(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+        let results = doc.get("results").and_then(Json::as_arr).expect("results");
+        assert_eq!(
+            results[0].get("status").and_then(Json::as_str),
+            Some("unreadable")
+        );
+        assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(true));
     }
 
     #[test]

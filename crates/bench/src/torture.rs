@@ -2,45 +2,51 @@
 //! enumerate every crash point a recovery-critical workload crosses —
 //! journal appends, meta-mirror write-throughs, grown-bad-block remaps,
 //! scrub repair passes, explicit L2P flushes, and the classic pre-op
-//! `ftl.power_loss` gate — cut power at each one, remount with
-//! [`Ftl::recover`], and check the recovered device against a shadow
-//! model.
+//! `ftl.power_loss` gate — cut power at each one, and grade what the
+//! device recovers to.
 //!
-//! The oracle accepts exactly three honest outcomes per crash point:
-//! the recovered state matches the shadow model ([`CrashVerdict::Clean`]),
-//! or the device degraded *loudly* — typed errors, read-only — with
-//! nothing silently wrong ([`CrashVerdict::LoudDegraded`]). The LBA whose
-//! operation the cut interrupted is *uncertain*: either its pre-op or its
-//! post-op content is acceptable, never anything else. Serving bytes the
-//! shadow model rules out, without any error, is
-//! [`CrashVerdict::SilentCorruption`] — the failure the campaign exists
-//! to catch. Recovery must also be idempotent: remounting twice yields
-//! the same L2P table and replay telemetry as remounting once.
+//! A crash point is one fuzz schedule: the workload below as
+//! [`FuzzOp`]s plus one [`FuzzOp::ArmCut`], run through the fuzz
+//! executor ([`SsdFuzz`]) and judged by its oracle — after the cut the
+//! device recovers twice (recovery must be idempotent), reads back the
+//! whole span, runs the rest of the workload, and reads back again. The
+//! LBA whose operation the cut interrupted may hold its pre-op or its
+//! post-op content, never anything else. The executor's report maps to
+//! a [`CrashVerdict`]:
+//!
+//! * the oracle passed and saw no error → [`CrashVerdict::Clean`];
+//! * it passed, but the device answered with lawful errors, went
+//!   read-only, or failed to recover → [`CrashVerdict::LoudDegraded`];
+//! * it failed — data the shadow model rules out, a wild L2P entry, an
+//!   illegal error, a non-idempotent recovery →
+//!   [`CrashVerdict::SilentCorruption`], the failure the campaign exists
+//!   to catch;
+//! * the armed cut never fired → [`CrashVerdict::NotTriggered`], a
+//!   coverage bug that cannot pass as clean.
 //!
 //! Crash points come from a census pass ([`census_config`]): the workload
-//! runs once with every site configured at probability zero, the plane
-//! counts crossings, and [`TorturePlan::enumerate`] turns the census into
-//! the schedule — exhaustive in the default configuration, seeded
-//! stratified sampling at `--full` scale. Each point then replays as one
-//! shard under a [`Supervisor`]: panics are isolated with the shard's
-//! seed captured, runaway shards become typed timeouts, and
+//! runs once through the same executor with every site configured at
+//! probability zero, the plane counts crossings, and
+//! [`TorturePlan::enumerate`] turns the census into the schedule —
+//! exhaustive in the default configuration, seeded stratified sampling at
+//! `--full` scale. Each point runs as one shard under a [`Supervisor`]:
+//! panics are isolated with the shard's seed captured, and
 //! `--checkpoint`/`--resume` persist completed shards so an interrupted
 //! campaign finishes bit-identical to an uninterrupted one.
 
 use std::path::Path;
 
-use ssdhammer_dram::{DramGeometry, DramModule, MappingKind, ModuleProfile};
-use ssdhammer_flash::{FlashArray, FlashGeometry};
-use ssdhammer_ftl::{Ftl, FtlConfig, FtlError, ReadOutcome, CRASH_SITES};
-use ssdhammer_simkit::faultplane::{FaultPlane, FaultPlaneConfig, FaultSpec};
-use ssdhammer_simkit::fuzz::ShadowDisk;
+use ssdhammer_ftl::CRASH_SITES;
+use ssdhammer_simkit::faultplane::{FaultPlaneConfig, FaultSpec};
+use ssdhammer_simkit::fuzz::Verdict;
 use ssdhammer_simkit::json::{Json, ToJson};
 use ssdhammer_simkit::supervisor::{JsonCodec, ShardOutcome, SupervisedReport, Supervisor};
 use ssdhammer_simkit::telemetry::Telemetry;
 use ssdhammer_simkit::torture::{
     census_config, measure_crossings, CrashPoint, CrashVerdict, SiteCrossings, TorturePlan,
 };
-use ssdhammer_simkit::{Lba, SimClock, SimDuration, BLOCK_SIZE};
+
+use crate::fuzz::{supervise, FuzzOp, SsdFuzz};
 
 /// Structured-result schema identifier.
 pub const SCHEMA: &str = "ssdhammer-torture-v1";
@@ -93,48 +99,27 @@ pub fn torture_sites() -> Vec<&'static str> {
 
 // ---- workload ---------------------------------------------------------------
 
-/// One deterministic workload step.
-#[derive(Debug, Clone, Copy)]
-enum Op {
-    /// Write `[fill; BLOCK_SIZE]` to the LBA.
-    Write(u64, u8),
-    /// TRIM the LBA.
-    Trim(u64),
-    /// Explicit journal flush (the NVMe Flush path).
-    Flush,
-    /// One background scrub chunk (8 L2P entries, 4 patrol reads).
-    Scrub,
-}
-
-/// LBA span the workload (and the oracle readback) covers.
-fn lba_span(full: bool) -> u64 {
-    if full {
-        24
-    } else {
-        12
-    }
-}
-
 /// The recovery-critical workload: write rounds with interleaved TRIMs,
 /// explicit flushes, and scrub chunks, sized to cross every registered
-/// crash site while fitting the tiny journal region.
-fn workload(full: bool) -> Vec<Op> {
-    let span = lba_span(full);
+/// crash site while fitting the tiny journal region. `--full` writes
+/// LBAs 0–23, twice the fuzz generator's span.
+fn workload(full: bool) -> Vec<FuzzOp> {
+    let span = if full { 24 } else { 12 };
     let rounds = if full { 3 } else { 2 };
     let mut ops = Vec::new();
     for round in 0..rounds {
         for lba in 0..span {
-            ops.push(Op::Write(lba, fill_byte(lba, round)));
+            ops.push(FuzzOp::Write(lba, fill_byte(lba, round)));
         }
         if round + 1 == rounds {
             // TRIMs late in the schedule: their durability is exactly what
             // journal-append and meta-mirror cuts stress.
             for lba in (1..span).step_by(4) {
-                ops.push(Op::Trim(lba));
+                ops.push(FuzzOp::Trim(lba));
             }
         }
-        ops.push(Op::Flush);
-        ops.push(Op::Scrub);
+        ops.push(FuzzOp::Flush);
+        ops.push(FuzzOp::Scrub);
     }
     ops
 }
@@ -161,237 +146,48 @@ fn plan_limit(full: bool) -> usize {
 
 /// Base (non-crash) faults: one deterministic program failure at the
 /// third program attempt — a data page, so the workload crosses the
-/// grown-bad-block retirement path exactly once.
+/// grown-bad-block retirement path exactly once — and every crash site
+/// configured at probability zero, so the plane counts its crossings.
 fn base_faults() -> FaultPlaneConfig {
-    FaultPlaneConfig::new().with_site(
+    let program_fail = FaultPlaneConfig::new().with_site(
         "flash.program_fail",
         FaultSpec::always().with_window(2, 3).with_max_fires(1),
-    )
+    );
+    census_config(&program_fail, &torture_sites())
 }
 
-/// The device-under-torture configuration: journal every mutation (so
-/// TRIM durability is on the line at every cut), two journal blocks, and
-/// the resident metadata mirror (so meta write-throughs happen at all).
-fn torture_config() -> FtlConfig {
-    FtlConfig::default()
-        .with_journal_checkpoint_every(1)
-        .with_journal_blocks(2)
-        .with_meta_resident(true)
+// ---- census + per-point run -------------------------------------------------
+
+/// Runs the workload once with no cut armed and reads back how often it
+/// crossed each site.
+fn census(full: bool) -> Vec<SiteCrossings> {
+    let run = SsdFuzz::default().run(&workload(full), &base_faults());
+    measure_crossings(&run.plane, &torture_sites())
 }
 
-/// Builds the tiny device under torture on `clock`. Flash seed is fixed
-/// (no factory-bad blocks in the tiny geometry); the fault plane is
-/// seeded with the workload seed so census and torture runs share one
-/// deterministic consult stream per site.
-fn device(seed: u64, clock: &SimClock, faults: &FaultPlaneConfig) -> Ftl {
-    let dram = DramModule::builder(DramGeometry::tiny_test())
-        .profile(ModuleProfile::invulnerable())
-        .mapping(MappingKind::Linear)
-        .seed(seed)
-        .without_timing()
-        .build(clock.clone());
-    let mut nand = FlashArray::new(FlashGeometry::tiny_test(), clock.clone(), 1);
-    nand.set_fault_plane(FaultPlane::new(seed, faults));
-    Ftl::new(dram, nand, torture_config()).expect("torture FTL assembly")
-}
-
-fn fresh_dram(seed: u64) -> DramModule {
-    DramModule::builder(DramGeometry::tiny_test())
-        .profile(ModuleProfile::invulnerable())
-        .mapping(MappingKind::Linear)
-        .seed(seed)
-        .without_timing()
-        .build(SimClock::new())
-}
-
-// ---- shadow model -----------------------------------------------------------
-
-// The oracle state lives in [`ShadowDisk`] (shared with the fuzzer);
-// these adapters translate workload ops into its commit/interrupt calls.
-
-/// Applies a completed (host-acknowledged) operation.
-fn commit(shadow: &mut ShadowDisk, op: Op) {
-    match op {
-        Op::Write(lba, fill) => shadow.commit_write(lba, fill),
-        Op::Trim(lba) => shadow.commit_trim(lba),
-        Op::Flush | Op::Scrub => {}
-    }
-}
-
-/// Marks the interrupted operation's LBA as uncertain.
-fn interrupt(shadow: &mut ShadowDisk, op: Op) {
-    match op {
-        Op::Write(lba, fill) => shadow.interrupt_write(lba, fill),
-        Op::Trim(lba) => shadow.interrupt_trim(lba),
-        Op::Flush | Op::Scrub => {}
-    }
-}
-
-// ---- census + per-point replay ----------------------------------------------
-
-/// Runs the workload once with every crash site registered at probability
-/// zero and reads back how often each was crossed.
-fn census(seed: u64, full: bool) -> Vec<SiteCrossings> {
-    let sites = torture_sites();
-    let faults = census_config(&base_faults(), &sites);
-    let clock = SimClock::new();
-    let mut ftl = device(seed, &clock, &faults);
-    for op in workload(full) {
-        apply(&mut ftl, op).expect("census workload must complete uncut");
-    }
-    measure_crossings(ftl.fault_plane(), &sites)
-}
-
-fn apply(ftl: &mut Ftl, op: Op) -> Result<(), FtlError> {
-    match op {
-        Op::Write(lba, fill) => {
-            let data = vec![fill; BLOCK_SIZE];
-            ftl.write(Lba(lba), &data).map(|_| ())
-        }
-        Op::Trim(lba) => ftl.trim(Lba(lba)),
-        Op::Flush => ftl.flush(),
-        Op::Scrub => ftl.scrub_chunk(8, 4),
-    }
-}
-
-/// Replays the workload with power cut at `point`, remounts, and checks
-/// the recovered device against the shadow model.
-fn run_crash_point(seed: u64, full: bool, point: &CrashPoint, clock: &SimClock) -> CrashOutcome {
-    let sites = torture_sites();
-    let faults = census_config(&base_faults(), &sites).with_site(point.site.clone(), point.spec());
-    let span = lba_span(full);
-    let mut ftl = device(seed, clock, &faults);
-    let mut shadow = ShadowDisk::new(span);
-    let mut loud: Vec<String> = Vec::new();
-    let mut cut = false;
-    for op in workload(full) {
-        match apply(&mut ftl, op) {
-            Ok(()) => commit(&mut shadow, op),
-            Err(FtlError::PowerLoss) => {
-                interrupt(&mut shadow, op);
-                cut = true;
-                break;
-            }
-            // Honest pre-cut degradation (e.g. read-only): the operation
-            // did not happen; the shadow stays put and the workload
-            // continues toward the scheduled cut.
-            Err(e) => loud.push(format!("workload: {e}")),
-        }
-    }
-    let verdict = judge(seed, span, ftl, &shadow, cut, point, loud);
-    CrashOutcome {
-        site: point.site.clone(),
-        index: point.index,
-        verdict,
-    }
-}
-
-/// The invariant oracle: remount twice (idempotency), then read back the
-/// whole LBA span against the shadow model.
-fn judge(
-    seed: u64,
-    span: u64,
-    ftl: Ftl,
-    shadow: &ShadowDisk,
-    cut: bool,
-    point: &CrashPoint,
-    mut loud: Vec<String>,
-) -> CrashVerdict {
-    if !cut || ftl.fault_plane().fired(&point.site) == 0 {
+/// Runs the workload with power cut at `point` through the fuzz executor
+/// and grades the executor's report.
+fn run_crash_point(full: bool, point: &CrashPoint) -> CrashVerdict {
+    let site = torture_sites().iter().position(|&s| s == point.site);
+    let (Some(site), Ok(crossing)) = (site, u32::try_from(point.index)) else {
         return CrashVerdict::NotTriggered;
-    }
-    // First remount. The recovered FTL shares the run's fault plane, whose
-    // crash spec is exhausted (max_fires = 1), so recovery itself runs cut-free.
-    let config = torture_config();
-    let (_lost_dram, nand) = ftl.into_parts();
-    let first = match Ftl::recover(fresh_dram(seed ^ 1), nand, config) {
-        Ok(f) => f,
-        Err(e) => {
-            return CrashVerdict::LoudDegraded {
-                detail: format!("recover failed: {e}"),
-            }
-        }
     };
-    let snap_once = match first.l2p_snapshot() {
-        Ok(s) => s,
-        Err(e) => {
-            return CrashVerdict::LoudDegraded {
-                detail: format!("l2p snapshot failed: {e}"),
-            }
-        }
-    };
-    let replayed_once = first.telemetry().journal_replayed;
-    // Second remount from the same flash: recovery must be idempotent. A
-    // divergence here is an invariant violation, not honest degradation.
-    let (_lost_dram, nand) = first.into_parts();
-    let mut ftl = match Ftl::recover(fresh_dram(seed ^ 2), nand, config) {
-        Ok(f) => f,
-        Err(e) => {
-            return CrashVerdict::SilentCorruption {
-                detail: format!("recovery not idempotent: second remount failed: {e}"),
-            }
-        }
-    };
-    match ftl.l2p_snapshot() {
-        Ok(snap_twice) if snap_twice == snap_once => {}
-        Ok(_) => {
-            return CrashVerdict::SilentCorruption {
-                detail: "recovery not idempotent: L2P differs across remounts".to_string(),
-            }
-        }
-        Err(e) => {
-            return CrashVerdict::SilentCorruption {
-                detail: format!("recovery not idempotent: second snapshot failed: {e}"),
-            }
-        }
-    }
-    if ftl.telemetry().journal_replayed != replayed_once {
-        return CrashVerdict::SilentCorruption {
-            detail: "recovery not idempotent: journal replay count differs".to_string(),
-        };
-    }
-    if ftl.is_read_only() {
-        loud.push("device read-only after recovery".to_string());
-    }
-    // Full readback: every LBA must hold content the shadow model allows,
-    // or fail loudly.
-    let mut buf = vec![0u8; BLOCK_SIZE];
-    for lba in 0..span {
-        match ftl.read(Lba(lba), &mut buf) {
-            Err(e) => loud.push(format!("lba {lba}: {e}")),
-            Ok(ReadOutcome::Wild { entry }) => {
-                loud.push(format!("lba {lba}: wild entry {entry:#x}"));
-            }
-            Ok(ReadOutcome::GuardMismatch { ppn }) => {
-                loud.push(format!("lba {lba}: guard mismatch at {ppn}"));
-            }
-            Ok(_) => {
-                if !shadow.acceptable(lba, &buf) {
-                    return CrashVerdict::SilentCorruption {
-                        detail: format!(
-                            "lba {lba}: read fill {:#04x}, shadow allows {}",
-                            buf[0],
-                            shadow.describe(lba)
-                        ),
-                    };
-                }
-            }
-        }
-    }
-    if loud.is_empty() {
-        CrashVerdict::Clean
-    } else {
-        CrashVerdict::LoudDegraded {
-            detail: loud.join("; "),
-        }
+    let mut ops = vec![FuzzOp::ArmCut(site as u8, crossing)];
+    ops.extend(workload(full));
+    let run = SsdFuzz::default().run(&ops, &base_faults());
+    match run.verdict {
+        Verdict::Fail(f) => CrashVerdict::SilentCorruption {
+            detail: format!("{}: {}", f.signature, f.detail),
+        },
+        Verdict::Pass if run.plane.fired(&point.site) == 0 => CrashVerdict::NotTriggered,
+        Verdict::Pass if run.loud.is_empty() => CrashVerdict::Clean,
+        Verdict::Pass => CrashVerdict::LoudDegraded {
+            detail: run.loud.join("; "),
+        },
     }
 }
 
 // ---- campaign ---------------------------------------------------------------
-
-fn encode_outcome(o: &CrashOutcome) -> Json {
-    o.to_json()
-}
 
 fn decode_outcome(j: &Json) -> Option<CrashOutcome> {
     let site = j.get("site").and_then(Json::as_str)?.to_string();
@@ -423,38 +219,32 @@ fn decode_outcome(j: &Json) -> Option<CrashOutcome> {
 /// run.
 #[must_use]
 pub fn run_supervised(seed: u64, threads: usize, opts: &TortureOpts<'_>) -> Json {
-    let crossings = census(seed, opts.full);
+    let crossings = census(opts.full);
     let plan = TorturePlan::enumerate(&crossings, plan_limit(opts.full), seed);
-    let registry = Telemetry::new();
-    let mut sup = Supervisor::new(seed)
-        .with_tag("torture")
-        .with_threads(threads)
-        .with_sim_budget(SimDuration::from_secs(600))
-        .with_max_retries(1)
-        .attach_telemetry(&registry);
-    if let Some(n) = opts.abort_after {
-        sup = sup.with_stop_after(n);
-    }
-    // Every shard replays the *same* seed and workload — only the injected
-    // cut differs — so the shard closure ignores `ctx.trial.seed` and keys
-    // off the trial index alone. The shard clock feeds the watchdog.
-    let shard = |ctx: &ssdhammer_simkit::supervisor::ShardCtx| {
-        run_crash_point(seed, opts.full, &plan.points[ctx.trial.index], ctx.clock())
-    };
-    let report = match opts.checkpoint {
-        Some(path) => {
-            let codec = JsonCodec {
-                encode: encode_outcome,
-                decode: decode_outcome,
-            };
-            sup.run_checkpointed(plan.points.len(), path, opts.resume, codec, shard)
-                .expect("torture checkpoint")
-        }
-        None => sup.run(plan.points.len(), shard),
-    };
-    let doc = document(seed, opts.full, &crossings, &plan, &report);
-    count_verdicts(&registry, &plan, &report);
-    doc
+    // Every shard runs the *same* workload — only the armed cut differs —
+    // so the shard keys off the trial index alone.
+    let (report, registry) = supervise(
+        Supervisor::new(seed)
+            .with_tag("torture")
+            .with_threads(threads),
+        plan.points.len(),
+        opts.checkpoint,
+        opts.resume,
+        opts.abort_after,
+        JsonCodec {
+            encode: CrashOutcome::to_json,
+            decode: decode_outcome,
+        },
+        |ctx| {
+            let point = &plan.points[ctx.trial.index];
+            CrashOutcome {
+                site: point.site.clone(),
+                index: point.index,
+                verdict: run_crash_point(opts.full, point),
+            }
+        },
+    );
+    document(seed, opts.full, &crossings, &plan, &report, &registry)
 }
 
 /// Convenience entry without checkpointing.
@@ -470,42 +260,17 @@ pub fn run(seed: u64, threads: usize, full: bool) -> Json {
     )
 }
 
-/// Registers and bumps the `torture.*` counters from the merged report.
-fn count_verdicts(
-    registry: &Telemetry,
-    plan: &TorturePlan,
-    report: &SupervisedReport<CrashOutcome>,
-) {
-    let mut clean = 0u64;
-    let mut loud = 0u64;
-    let mut silent = 0u64;
-    let mut not_triggered = 0u64;
-    for outcome in report.values() {
-        match outcome.verdict {
-            CrashVerdict::Clean => clean += 1,
-            CrashVerdict::LoudDegraded { .. } => loud += 1,
-            CrashVerdict::SilentCorruption { .. } => silent += 1,
-            CrashVerdict::NotTriggered => not_triggered += 1,
-        }
-    }
-    registry
-        .counter("torture.crash_points")
-        .add(plan.points.len() as u64);
-    registry.counter("torture.clean").add(clean);
-    registry.counter("torture.loud_degraded").add(loud);
-    registry.counter("torture.silent_corruption").add(silent);
-    registry.counter("torture.not_triggered").add(not_triggered);
-}
-
-/// Assembles the structured result document. `resumed` is deliberately
-/// omitted: it differs between a resumed and an uninterrupted run of the
-/// same campaign, and the document must not.
+/// Assembles the structured result document and bumps the `torture.*`
+/// counters from the same tallies. `resumed` is deliberately omitted: it
+/// differs between a resumed and an uninterrupted run of the same
+/// campaign, and the document must not.
 fn document(
     seed: u64,
     full: bool,
     crossings: &[SiteCrossings],
     plan: &TorturePlan,
     report: &SupervisedReport<CrashOutcome>,
+    registry: &Telemetry,
 ) -> Json {
     let mut clean = 0u64;
     let mut loud = 0u64;
@@ -534,6 +299,13 @@ fn document(
             Json::obj(fields)
         })
         .collect();
+    registry
+        .counter("torture.crash_points")
+        .add(plan.points.len() as u64);
+    registry.counter("torture.clean").add(clean);
+    registry.counter("torture.loud_degraded").add(loud);
+    registry.counter("torture.silent_corruption").add(silent);
+    registry.counter("torture.not_triggered").add(not_triggered);
     let sites: Vec<Json> = crossings
         .iter()
         .map(|s| {
@@ -651,7 +423,7 @@ mod tests {
 
     #[test]
     fn census_crosses_every_registered_site() {
-        let crossings = census(7, false);
+        let crossings = census(false);
         for s in &crossings {
             assert!(
                 s.crossings > 0,
@@ -703,6 +475,15 @@ mod tests {
         );
         assert_eq!(summary.get("not_triggered").and_then(Json::as_u64), Some(0));
         assert_eq!(doc.get("degraded").and_then(Json::as_bool), Some(false));
+    }
+
+    #[test]
+    fn a_cut_past_the_last_crossing_is_not_triggered() {
+        let point = CrashPoint {
+            site: "ftl.crash.l2p_flush".to_string(),
+            index: 1000,
+        };
+        assert_eq!(run_crash_point(false, &point), CrashVerdict::NotTriggered);
     }
 
     #[test]

@@ -194,22 +194,10 @@ impl AttackPipeline {
         self
     }
 
-    /// The hammerer's registry name.
-    #[must_use]
-    pub fn pattern_name(&self) -> &'static str {
-        self.hammerer.name()
-    }
-
     /// The victim's registry name.
     #[must_use]
     pub fn victim_name(&self) -> &'static str {
         self.victim.name()
-    }
-
-    /// The placement's registry name.
-    #[must_use]
-    pub fn placement_name(&self) -> &'static str {
-        self.placement.name()
     }
 
     /// Applies the victim's device requirements to a build config (call

@@ -449,34 +449,6 @@ pub struct ControllerConfig {
 }
 
 impl ControllerConfig {
-    /// Sets the interface generation.
-    #[must_use]
-    pub fn with_interface(mut self, interface: InterfaceGen) -> Self {
-        self.interface = interface;
-        self
-    }
-
-    /// Sets (or clears) the I/O rate limit in commands/second.
-    #[must_use]
-    pub fn with_rate_limit_iops(mut self, iops: Option<f64>) -> Self {
-        self.rate_limit_iops = iops;
-        self
-    }
-
-    /// Sets the queue arbitration scheme.
-    #[must_use]
-    pub fn with_arbiter(mut self, arbiter: Arbiter) -> Self {
-        self.arbiter = arbiter;
-        self
-    }
-
-    /// Sets the I/O core count.
-    #[must_use]
-    pub fn with_io_cores(mut self, cores: u32) -> Self {
-        self.io_cores = cores;
-        self
-    }
-
     /// Sets the timeout/retry policy.
     #[must_use]
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {

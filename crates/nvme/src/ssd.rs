@@ -55,24 +55,10 @@ impl Default for ScrubberConfig {
 }
 
 impl ScrubberConfig {
-    /// Sets the chunk interval.
-    #[must_use]
-    pub fn with_interval(mut self, interval: SimDuration) -> Self {
-        self.interval = interval;
-        self
-    }
-
     /// Sets the entries verified per chunk.
     #[must_use]
     pub fn with_chunk_entries(mut self, entries: u64) -> Self {
         self.chunk_entries = entries;
-        self
-    }
-
-    /// Sets the flash patrol reads per chunk.
-    #[must_use]
-    pub fn with_flash_reads_per_chunk(mut self, reads: u32) -> Self {
-        self.flash_reads_per_chunk = reads;
         self
     }
 
@@ -230,13 +216,6 @@ impl SsdConfig {
     #[must_use]
     pub fn with_flash_geometry(mut self, geometry: FlashGeometry) -> Self {
         self.flash_geometry = geometry;
-        self
-    }
-
-    /// Replaces the NAND latencies.
-    #[must_use]
-    pub fn with_flash_timing(mut self, timing: FlashTiming) -> Self {
-        self.flash_timing = timing;
         self
     }
 
@@ -636,9 +615,11 @@ impl Ssd {
         if let Some(para) = config.para {
             dram_builder = dram_builder.para(para);
         }
-        let dram = dram_builder.build(clock.clone());
-        let mut ftl = Ftl::recover(dram, nand, config.ftl)?;
-        ftl.attach_telemetry(&tel.registry);
+        let mut dram = dram_builder.build(clock.clone());
+        // Recovery records into the device registry (the FTL adopts its
+        // DRAM's), so the replay it counts outlives the remount.
+        dram.attach_telemetry(&tel.registry);
+        let ftl = Ftl::recover(dram, nand, config.ftl)?;
         let now = clock.now();
         let flash_read =
             SimDuration::from_nanos(config.flash_timing.t_read_ns + config.flash_timing.t_xfer_ns);
@@ -1674,6 +1655,19 @@ mod tests {
         let qp = s.create_queue_pair(8);
         let c = s.roundtrip(qp, Command::Identify).unwrap();
         assert!(matches!(c.result, CmdResult::Identify(_)));
+    }
+
+    #[test]
+    fn power_cycle_keeps_the_journal_replay_count() {
+        let config = SsdConfig::test_small(3)
+            .with_ftl(FtlConfig::default().with_journal_checkpoint_every(1));
+        let mut s = Ssd::build(config.clone());
+        for lba in 0..6 {
+            s.ftl_mut().write(Lba(lba), &[0x11; BLOCK_SIZE]).unwrap();
+        }
+        let s = s.power_cycle(&config).expect("remount");
+        assert_eq!(s.ftl().telemetry().journal_replayed, 6);
+        assert_eq!(s.telemetry().counter("recovery.journal_replayed").get(), 6);
     }
 
     #[test]

@@ -145,15 +145,6 @@ impl<T> ShardOutcome<T> {
         }
     }
 
-    /// Consumes the outcome into the completed value, when present.
-    #[must_use]
-    pub fn into_value(self) -> Option<T> {
-        match self {
-            ShardOutcome::Ok(v) => Some(v),
-            _ => None,
-        }
-    }
-
     /// Short status tag for reports: `ok`, `timeout`, `panicked`,
     /// `skipped`.
     #[must_use]

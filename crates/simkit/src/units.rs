@@ -52,16 +52,6 @@ impl ByteSize {
         self.0
     }
 
-    /// The raw byte count as `usize`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value does not fit in `usize` (32-bit hosts).
-    #[must_use]
-    pub fn as_usize(self) -> usize {
-        usize::try_from(self.0).expect("byte size exceeds usize")
-    }
-
     /// True when this size is an exact multiple of `unit`.
     ///
     /// # Panics
