@@ -1,5 +1,5 @@
 //! `repro bench` — the perf baseline: wall-clock timings for the
-//! simulator's hot paths, written to `BENCH_9.json`.
+//! simulator's hot paths, printed and written to `--out PATH` when given.
 //!
 //! Four scenarios are timed:
 //!
@@ -39,7 +39,7 @@ pub const SCHEMA: &str = "ssdhammer-bench-v1";
 /// the timing-free subtree.
 #[derive(Debug, Clone)]
 pub struct BenchReport {
-    /// The complete `BENCH_9.json` document.
+    /// The complete bench document (timings included).
     pub doc: Json,
     /// Only the deterministic parts: schema, parameters, and each
     /// scenario's `result` subtree. Byte-identical for a fixed `(seed,
@@ -128,8 +128,8 @@ fn mq_saturation(seed: u64, quick: bool) -> (Json, u64) {
 /// Runs the four timed hot paths and assembles the report.
 ///
 /// `quick` substitutes the fig3 fast demo for the paper-prototype run and
-/// shrinks the queue-saturation loop — the CI smoke configuration; the
-/// committed `BENCH_9.json` comes from a non-quick run.
+/// shrinks the queue-saturation loop — the CI smoke configuration; a
+/// committed `BENCH_<n>.json` comes from a non-quick run.
 #[must_use]
 pub fn run(seed: u64, threads: usize, quick: bool) -> BenchReport {
     let (fig1_wall, fig1_result) = timed(|| fig1::run(seed).to_json());

@@ -32,6 +32,7 @@ struct Ctx {
     abort_after: Option<usize>,
     soak: Option<usize>,
     replay: Option<String>,
+    out: Option<String>,
 }
 
 impl Ctx {
@@ -156,7 +157,7 @@ static COMMANDS: &[Cmd] = &[
     },
     Cmd {
         name: "bench",
-        help: "perf baseline — times the hot paths, writes BENCH_9.json",
+        help: "perf baseline — times the hot paths (--out PATH to save)",
         runner: Runner::Custom(run_bench),
         in_all: false,
     },
@@ -178,6 +179,7 @@ fn main() {
         abort_after: None,
         soak: None,
         replay: None,
+        out: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -237,6 +239,13 @@ fn main() {
                     it.next()
                         .cloned()
                         .unwrap_or_else(|| die("--replay needs a directory")),
+                );
+            }
+            "--out" => {
+                ctx.out = Some(
+                    it.next()
+                        .cloned()
+                        .unwrap_or_else(|| die("--out needs a path")),
                 );
             }
             "--json" => ctx.json = true,
@@ -341,18 +350,20 @@ fn run_escalation(ctx: &Ctx) {
     }
 }
 
-/// The perf baseline: times the hot paths, writes `BENCH_9.json`, and
-/// self-checks that the document parses.
+/// The perf baseline: times the hot paths, self-checks that the document
+/// parses, prints it, and writes it to `--out` when given.
 fn run_bench(ctx: &Ctx) {
     let report = benchmark::run(ctx.seed, ctx.threads, ctx.quick);
     let text = report.doc.to_string_pretty();
     ssdhammer_simkit::json::Json::parse(&text).expect("BENCH document must parse");
-    let path = "BENCH_9.json";
-    match std::fs::write(path, &text) {
-        Ok(()) => eprintln!("bench report written to {path}"),
-        Err(e) => eprintln!("repro: could not write {path}: {e}"),
-    }
     println!("{text}");
+    if let Some(path) = &ctx.out {
+        if let Err(e) = std::fs::write(path, &text) {
+            eprintln!("repro: could not write {path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("bench report written to {path}");
+    }
 }
 
 fn print_help() {
@@ -373,6 +384,7 @@ fn print_help() {
     println!("                (1 GiB SSD, 5% spray cap, 5-minute hammer bursts);");
     println!("                torture: larger workload with a sampled crash schedule");
     println!("  --quick       bench only: fast-demo scenarios for CI smoke runs");
+    println!("  --out PATH    bench only: also write the report to PATH");
     println!("  --pattern P   attacks only: run a single hammer pattern's cells");
     println!("  --victim V    attacks only: run a single victim structure's cells");
     println!("  --checkpoint F  torture/fuzz: persist completed shards to F after each one");

@@ -30,7 +30,7 @@
 //! [`scenario::Scenario`] — one uniform `run(cfg, seed, threads) -> Json`
 //! / `render` entry point that the `repro` binary's subcommand registry
 //! dispatches through. The [`benchmark`] module (`repro bench`) times the
-//! hot paths and writes `BENCH_9.json`.
+//! hot paths and prints the report (`--out PATH` also writes it).
 //!
 //! Run `cargo run -p ssdhammer-bench --bin repro -- all` for the complete
 //! text reproduction, or `cargo bench` for the timed harnesses.

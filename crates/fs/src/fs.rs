@@ -12,7 +12,8 @@
 //!   directory and extent-leaf block is read at most once per scan: an
 //!   allocation reads each bitmap block once, and one directory pass reads
 //!   each directory block and its extent leaf once and hands back the slot
-//!   to rewrite.
+//!   to rewrite. Decoding an entry's name checks `is_ascii()` before full
+//!   UTF-8 validation, which accepts and rejects exactly the same entries.
 //! * Directories always use extent addressing; regular files choose
 //!   per-inode between checksummed extents and unchecksummed indirect
 //!   blocks, as in ext4.
@@ -546,7 +547,10 @@ impl<S: BlockDevice> FileSystem<S> {
         let InodeMap::Extents { inline, leaf } = &mut inode.map else {
             unreachable!("caller matched extents");
         };
-        let extends = |e: &Extent| e.logical + e.len == logical && e.start + e.len == data;
+        let extends = |e: &Extent| {
+            e.logical.checked_add(e.len) == Some(logical)
+                && e.start.checked_add(e.len) == Some(data)
+        };
         // Try to extend the extent ending right before `logical`.
         if let Some(e) = inline.iter_mut().find(|e| extends(e)) {
             e.len += 1;
@@ -677,6 +681,7 @@ impl<S: BlockDevice> FileSystem<S> {
             free: None,
             leaf: None,
         };
+        let want = name.map(str::as_bytes);
         let blocks = dir.size.div_ceil(BLOCK_SIZE as u64);
         let mut buf = [0u8; BLOCK_SIZE];
         for b in 0..blocks as u32 {
@@ -702,7 +707,7 @@ impl<S: BlockDevice> FileSystem<S> {
                         scan.free.get_or_insert_with(slot);
                     }
                     Some(d) => {
-                        if scan.found.is_none() && name == Some(d.name) {
+                        if scan.found.is_none() && want == Some(d.name) {
                             scan.found = Some((d.to_dirent(), slot()));
                         }
                         each(d);
@@ -1357,7 +1362,7 @@ struct DirScan {
 fn extent_find(extents: &[Extent], logical: u32) -> Option<FsBlock> {
     extents
         .iter()
-        .find(|e| e.logical <= logical && logical < e.logical + e.len)
+        .find(|e| e.logical <= logical && logical - e.logical < e.len)
         .map(|e| e.start + (logical - e.logical))
 }
 
@@ -1452,6 +1457,34 @@ mod tests {
         assert_eq!(f.read_file_block(ino, ROOT, logical).unwrap()[0], 0xEE);
         // Neighboring unwritten block is a hole.
         assert_eq!(f.read_file_block(ino, ROOT, logical + 1).unwrap()[0], 0);
+    }
+
+    #[test]
+    fn extent_blocks_at_the_top_of_the_logical_range() {
+        let mut f = fs();
+        let ino = f
+            .create("/top", ROOT, 0o644, AddressingMode::Extents)
+            .unwrap();
+        // The second write extends the first block's extent up to u32::MAX.
+        f.write_file_block(ino, ROOT, u32::MAX - 1, &block_of(1))
+            .unwrap();
+        f.write_file_block(ino, ROOT, u32::MAX, &block_of(2))
+            .unwrap();
+        assert_eq!(
+            f.read_file_block(ino, ROOT, u32::MAX - 1).unwrap(),
+            block_of(1)
+        );
+        assert_eq!(f.read_file_block(ino, ROOT, u32::MAX).unwrap(), block_of(2));
+        // A rewrite lands in the mapped block instead of a second one.
+        f.write_file_block(ino, ROOT, u32::MAX, &block_of(3))
+            .unwrap();
+        assert_eq!(f.read_file_block(ino, ROOT, u32::MAX).unwrap(), block_of(3));
+        let InodeMap::Extents { inline, leaf } = f.read_inode(ino).unwrap().map else {
+            panic!("extent file changed mode");
+        };
+        assert_eq!(leaf, None);
+        assert_eq!(inline.len(), 1, "{inline:?}");
+        assert_eq!((inline[0].logical, inline[0].len), (u32::MAX - 1, 2));
     }
 
     #[test]

@@ -487,8 +487,8 @@ pub struct DirentRef<'a> {
     pub ino: Ino,
     /// Entry type.
     pub ftype: FileType,
-    /// File name, borrowed from the block buffer.
-    pub name: &'a str,
+    /// File name, borrowed from the block buffer; valid UTF-8.
+    pub(crate) name: &'a [u8],
 }
 
 impl<'a> DirentRef<'a> {
@@ -514,8 +514,11 @@ impl<'a> DirentRef<'a> {
                 return Err(FsError::Corrupted(format!("bad dirent type {other}")));
             }
         };
-        let name = core::str::from_utf8(&buf[6..6 + len])
-            .map_err(|_| FsError::Corrupted("dirent name not utf-8".into()))?;
+        let name = &buf[6..6 + len];
+        // An ASCII name is valid UTF-8; only other bytes need the full check.
+        if !name.is_ascii() && core::str::from_utf8(name).is_err() {
+            return Err(FsError::Corrupted("dirent name not utf-8".into()));
+        }
         Ok(Some(DirentRef {
             ino: Ino(ino),
             ftype,
@@ -529,7 +532,8 @@ impl<'a> DirentRef<'a> {
         Dirent {
             ino: self.ino,
             ftype: self.ftype,
-            name: self.name.to_owned(),
+            // `decode` checked the name, so nothing is replaced.
+            name: String::from_utf8_lossy(self.name).into_owned(),
         }
     }
 }
@@ -659,6 +663,72 @@ mod tests {
         buf[0] = 1; // ino 1
         buf[4] = 200; // absurd name length
         assert!(Dirent::decode(&buf).is_err());
+    }
+
+    /// Reference decode: the same checks in the same order, with
+    /// `from_utf8` on every name.
+    fn from_utf8_decode(buf: &[u8]) -> FsResult<Option<Dirent>> {
+        let ino = le_u32(buf, 0);
+        if ino == 0 {
+            return Ok(None);
+        }
+        let len = buf[4] as usize;
+        if len == 0 || len > MAX_NAME {
+            return Err(FsError::Corrupted(format!("bad dirent name length {len}")));
+        }
+        let ftype = match buf[5] {
+            1 => FileType::Regular,
+            2 => FileType::Directory,
+            other => return Err(FsError::Corrupted(format!("bad dirent type {other}"))),
+        };
+        let name = core::str::from_utf8(&buf[6..6 + len])
+            .map_err(|_| FsError::Corrupted("dirent name not utf-8".into()))?;
+        Ok(Some(Dirent {
+            ino: Ino(ino),
+            ftype,
+            name: name.to_owned(),
+        }))
+    }
+
+    #[test]
+    fn dirent_name_check_matches_from_utf8() {
+        let full = |name: &[u8]| (name.to_vec(), name.len());
+        let mut names = vec![
+            full(b"spray-00042"),
+            full("é".as_bytes()),
+            full("名前".as_bytes()),
+            full(&[b'a', 0xC3, 0x28]),       // bad continuation byte
+            full(&[0xFF]),                   // never valid in UTF-8
+            ("名前".as_bytes().to_vec(), 4), // 前 cut after its first byte
+            (vec![b'a'; MAX_NAME], 0),
+            (vec![b'a'; MAX_NAME], MAX_NAME),
+            (vec![b'a'; MAX_NAME], MAX_NAME + 1),
+        ];
+        // A full-length name that ends inside a multi-byte sequence.
+        let mut cut = vec![b'b'; MAX_NAME - 1];
+        cut.push(0xE5);
+        names.push(full(&cut));
+        let mut accepted = 0;
+        for (bytes, len) in &names {
+            for ftype in 0..=3u8 {
+                for ino in [0u32, 9] {
+                    let mut buf = [0u8; DIRENT_SIZE];
+                    buf[0..4].copy_from_slice(&ino.to_le_bytes());
+                    buf[4] = *len as u8;
+                    buf[5] = ftype;
+                    buf[6..6 + bytes.len()].copy_from_slice(bytes);
+                    let want = from_utf8_decode(&buf);
+                    let got = DirentRef::decode(&buf).map(|d| d.map(DirentRef::to_dirent));
+                    assert_eq!(
+                        got, want,
+                        "name {bytes:x?} len {len} type {ftype} ino {ino}"
+                    );
+                    accepted += usize::from(matches!(got, Ok(Some(_))));
+                }
+            }
+        }
+        // ASCII, é, 名前 and the MAX_NAME name, each as a file and a directory.
+        assert_eq!(accepted, 8);
     }
 
     #[test]

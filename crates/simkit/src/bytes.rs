@@ -21,25 +21,35 @@
 //! ```
 
 /// Reads a little-endian `u16` at byte offset `off`; missing bytes are zero.
+#[inline]
 #[must_use]
 pub fn le_u16(buf: &[u8], off: usize) -> u16 {
     u16::from_le_bytes(field(buf, off))
 }
 
 /// Reads a little-endian `u32` at byte offset `off`; missing bytes are zero.
+#[inline]
 #[must_use]
 pub fn le_u32(buf: &[u8], off: usize) -> u32 {
     u32::from_le_bytes(field(buf, off))
 }
 
 /// Reads a little-endian `u64` at byte offset `off`; missing bytes are zero.
+#[inline]
 #[must_use]
 pub fn le_u64(buf: &[u8], off: usize) -> u64 {
     u64::from_le_bytes(field(buf, off))
 }
 
 /// Copies up to `N` bytes starting at `off` into a zero-filled array.
+///
+/// A field that lies wholly inside `buf` is one fixed-size copy; only a
+/// field cut off by the end of `buf` takes the zero-filling path.
+#[inline]
 fn field<const N: usize>(buf: &[u8], off: usize) -> [u8; N] {
+    if let Some(whole) = buf.get(off..).and_then(<[u8]>::first_chunk::<N>) {
+        return *whole;
+    }
     let mut out = [0u8; N];
     if off < buf.len() {
         let avail = (buf.len() - off).min(N);
@@ -63,6 +73,15 @@ mod tests {
         );
     }
 
+    /// Byte-by-byte reference: byte `i` of the field is `buf[off + i]`,
+    /// or zero past the end of `buf`.
+    fn reference(buf: &[u8], off: usize, width: usize) -> u64 {
+        (0..width).fold(0, |acc, i| {
+            let byte = off.checked_add(i).and_then(|at| buf.get(at));
+            acc | u64::from(byte.copied().unwrap_or(0)) << (8 * i)
+        })
+    }
+
     #[test]
     fn short_and_out_of_range_reads_zero_fill() {
         let buf = [0xAA, 0xBB];
@@ -71,5 +90,25 @@ mod tests {
         assert_eq!(le_u32(&buf, 2), 0);
         assert_eq!(le_u64(&[], 0), 0);
         assert_eq!(le_u16(&buf, usize::MAX), 0);
+        assert_eq!(le_u64(&buf, usize::MAX), 0);
+        // Every offset around the end of every short buffer, whole fields
+        // and cut-off ones alike.
+        for len in 0..=16usize {
+            let buf: Vec<u8> = (0..len).map(|i| 0x11u8.wrapping_mul(i as u8 + 1)).collect();
+            for off in 0..=len + 8 {
+                let at = format!("len {len} off {off}");
+                assert_eq!(
+                    u64::from(le_u16(&buf, off)),
+                    reference(&buf, off, 2),
+                    "{at}"
+                );
+                assert_eq!(
+                    u64::from(le_u32(&buf, off)),
+                    reference(&buf, off, 4),
+                    "{at}"
+                );
+                assert_eq!(le_u64(&buf, off), reference(&buf, off, 8), "{at}");
+            }
+        }
     }
 }
