@@ -5,7 +5,7 @@
 use ssdhammer_core::{
     cross_partition_sites, find_attack_sites, setup_entries, AttackPipeline, LbaRange,
 };
-use ssdhammer_dram::{DramGeneration, DramGeometry, MappingKind, ModuleProfile};
+use ssdhammer_dram::{DramGeneration, DramGeometry, HammerOptions, MappingKind, ModuleProfile};
 use ssdhammer_flash::FlashGeometry;
 use ssdhammer_nvme::{CmdResult, Command, Ssd, SsdConfig};
 use ssdhammer_simkit::parallel::Campaign;
@@ -248,7 +248,7 @@ pub fn victim_activity_threads(seed: u64, threads: usize) -> Vec<VictimActivityR
         let mut flips = 0usize;
         for _ in 0..100 {
             let report = ssd
-                .hammer_device_reads(&pattern, 8_000, 1_500_000.0)
+                .hammer_reads(&pattern, 8_000, 1_500_000.0, HammerOptions::default())
                 .expect("hammer");
             flips += report.flips.iter().filter(|f| f.row == site.victim).count();
             if active_victim {

@@ -12,20 +12,17 @@
 //!
 //! Cells are sharded across a supervised campaign ([`Supervisor`] over
 //! the same deterministic [`Campaign`] sharding), so the output document
-//! is bit-identical for any `--threads` value — and, with
-//! `--checkpoint`/`--resume`, bit-identical whether or not the campaign
-//! was killed and resumed partway.
+//! is bit-identical for any `--threads` value. A cell whose shard panics
+//! keeps its place in the grid, with the panic message as its error.
 //!
 //! [`Campaign`]: ssdhammer_simkit::parallel::Campaign
-
-use std::path::Path;
 
 use ssdhammer_core::{pattern_names, victim_names, AttackError, AttackPipeline};
 use ssdhammer_dram::{DramGeneration, DramGeometry, MappingKind, ModuleProfile};
 use ssdhammer_flash::FlashGeometry;
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
-use ssdhammer_simkit::supervisor::{JsonCodec, SupervisedReport, Supervisor};
+use ssdhammer_simkit::supervisor::{ShardOutcome, Supervisor};
 use ssdhammer_simkit::SimDuration;
 
 /// One (pattern, victim) cell of the campaign grid.
@@ -55,32 +52,37 @@ pub struct GridCell {
 }
 
 impl GridCell {
-    /// Decodes a checkpointed cell; registry names map back to their
-    /// `&'static str` entries. `None` (undecodable) makes the supervisor
-    /// re-run the shard live.
-    fn from_json(j: &Json) -> Option<GridCell> {
-        let interned = |names: &[&'static str], v: &str| names.iter().find(|n| **n == v).copied();
-        let pattern = interned(pattern_names(), j.get("pattern").and_then(Json::as_str)?)?;
-        let victim = interned(victim_names(), j.get("victim").and_then(Json::as_str)?)?;
-        let placement = interned(
-            &["same_bank", "cross_bank"],
-            j.get("placement").and_then(Json::as_str)?,
-        )?;
-        Some(GridCell {
+    /// A cell that has run nothing: every count zero, no error.
+    fn empty(pattern: &'static str, victim: &'static str) -> GridCell {
+        GridCell {
             pattern,
             victim,
-            placement,
-            sites_used: usize::try_from(j.get("sites_used").and_then(Json::as_u64)?).ok()?,
-            flips: j.get("flips").and_then(Json::as_u64)?,
-            achieved_rate: j.get("achieved_rate").and_then(Json::as_f64)?,
-            changes: j.get("changes").and_then(Json::as_u64)?,
-            silent: j.get("silent").and_then(Json::as_u64)?,
-            loud: j.get("loud").and_then(Json::as_u64)?,
-            error: j
-                .get("error")
-                .and_then(Json::as_str)
-                .map(ToString::to_string),
-        })
+            placement: placement_for(pattern),
+            sites_used: 0,
+            flips: 0,
+            achieved_rate: 0.0,
+            changes: 0,
+            silent: 0,
+            loud: 0,
+            error: None,
+        }
+    }
+
+    /// The cell a supervised shard produced; a shard that did not complete
+    /// keeps its place in the grid, with the reason as its error.
+    fn from_outcome(
+        (pattern, victim): (&'static str, &'static str),
+        outcome: ShardOutcome<GridCell>,
+    ) -> GridCell {
+        let error = match outcome {
+            ShardOutcome::Ok(cell) => return cell,
+            ShardOutcome::Panicked { message, .. } => format!("shard panicked: {message}"),
+            other => format!("shard {}", other.status()),
+        };
+        GridCell {
+            error: Some(error),
+            ..GridCell::empty(pattern, victim)
+        }
     }
 }
 
@@ -134,26 +136,14 @@ fn placement_for(pattern: &str) -> &'static str {
 
 /// Runs one grid cell on a fresh device.
 fn run_cell(seed: u64, pattern: &'static str, victim: &'static str) -> GridCell {
-    let placement = placement_for(pattern);
-    let pipeline = AttackPipeline::from_names(pattern, victim, placement)
+    let mut cell = GridCell::empty(pattern, victim);
+    let pipeline = AttackPipeline::from_names(pattern, victim, cell.placement)
         .expect("registry names are valid")
         .with_rate(2_000_000.0)
         .with_duration(SimDuration::from_millis(400));
     let mut config = grid_config(seed);
     pipeline.configure(&mut config);
     let mut ssd = Ssd::build(config);
-    let mut cell = GridCell {
-        pattern,
-        victim,
-        placement,
-        sites_used: 0,
-        flips: 0,
-        achieved_rate: 0.0,
-        changes: 0,
-        silent: 0,
-        loud: 0,
-        error: None,
-    };
     match pipeline.run(&mut ssd) {
         Ok(outcome) => {
             cell.sites_used = outcome.sites_used;
@@ -178,7 +168,7 @@ pub fn run(seed: u64) -> Result<Vec<GridCell>, AttackError> {
 }
 
 /// Runs the (optionally filtered) grid, cells sharded across `threads`
-/// workers; output is bit-identical for any thread count.
+/// supervised workers; output is bit-identical for any thread count.
 ///
 /// # Errors
 ///
@@ -190,29 +180,6 @@ pub fn run_filtered(
     pattern: Option<&str>,
     victim: Option<&str>,
 ) -> Result<Vec<GridCell>, AttackError> {
-    let report = run_supervised(seed, threads, pattern, victim, None, false, None)?;
-    Ok(report.values().cloned().collect())
-}
-
-/// [`run_filtered`] under full supervision: panic isolation, optional
-/// checkpoint persistence after every completed cell (`checkpoint` +
-/// `resume`), and the `abort_after` kill-switch CI uses to prove a
-/// resumed grid is bit-identical to an uninterrupted one.
-///
-/// # Errors
-///
-/// [`AttackError::UnknownPattern`] / [`AttackError::UnknownVictim`] as in
-/// [`run_filtered`]; checkpoint I/O failures panic (the file the user
-/// asked for cannot be written).
-pub fn run_supervised(
-    seed: u64,
-    threads: usize,
-    pattern: Option<&str>,
-    victim: Option<&str>,
-    checkpoint: Option<&Path>,
-    resume: bool,
-    abort_after: Option<usize>,
-) -> Result<SupervisedReport<GridCell>, AttackError> {
     let patterns: Vec<&'static str> = match pattern {
         Some(p) => vec![*pattern_names()
             .iter()
@@ -231,27 +198,18 @@ pub fn run_supervised(
         .iter()
         .flat_map(|p| victims.iter().map(move |v| (*p, *v)))
         .collect();
-    let mut sup = Supervisor::new(seed)
+    let report = Supervisor::new(seed)
         .with_tag("attack-grid")
-        .with_threads(threads);
-    if let Some(n) = abort_after {
-        sup = sup.with_stop_after(n);
-    }
-    let shard = |ctx: &ssdhammer_simkit::supervisor::ShardCtx| {
-        let (p, v) = cells[ctx.trial.index];
-        run_cell(ctx.trial.seed, p, v)
-    };
-    Ok(match checkpoint {
-        Some(path) => {
-            let codec = JsonCodec {
-                encode: GridCell::to_json,
-                decode: GridCell::from_json,
-            };
-            sup.run_checkpointed(cells.len(), path, resume, codec, shard)
-                .expect("attack-grid checkpoint")
-        }
-        None => sup.run(cells.len(), shard),
-    })
+        .with_threads(threads)
+        .run(cells.len(), |ctx| {
+            let (p, v) = cells[ctx.trial.index];
+            run_cell(ctx.trial.seed, p, v)
+        });
+    Ok(cells
+        .iter()
+        .zip(report.outcomes)
+        .map(|(&cell, outcome)| GridCell::from_outcome(cell, outcome))
+        .collect())
 }
 
 /// Renders the grid as a table.
@@ -326,26 +284,31 @@ mod tests {
     }
 
     #[test]
-    fn grid_cells_survive_a_checkpoint_round_trip() {
-        let mut path = std::env::temp_dir();
-        path.push(format!("ssdhammer-attacks-resume-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-
-        let uninterrupted = run_filtered(11, 2, None, None).expect("grid");
-        let killed =
-            run_supervised(11, 2, None, None, Some(&path), false, Some(3)).expect("killed grid");
-        assert!(killed.degraded());
-        assert_eq!(killed.values().count(), 3);
-        let resumed =
-            run_supervised(11, 1, None, None, Some(&path), true, None).expect("resumed grid");
-        assert!(!resumed.degraded());
-        assert_eq!(resumed.resumed, 3);
-        let resumed_cells: Vec<GridCell> = resumed.values().cloned().collect();
-        assert_eq!(
-            resumed_cells.to_json().to_string(),
-            uninterrupted.to_json().to_string()
+    fn a_panicked_shard_keeps_its_cell_with_the_message() {
+        let cell = GridCell::from_outcome(
+            ("many_sided", "l2p"),
+            ShardOutcome::Panicked {
+                index: 3,
+                seed: 9,
+                attempts: 1,
+                message: "boom".to_owned(),
+            },
         );
-        let _ = std::fs::remove_file(&path);
+        assert_eq!(
+            (cell.pattern, cell.victim, cell.placement),
+            ("many_sided", "l2p", "same_bank")
+        );
+        assert_eq!(cell.error.as_deref(), Some("shard panicked: boom"));
+        assert_eq!((cell.sites_used, cell.flips, cell.changes), (0, 0, 0));
+        let skipped = GridCell::from_outcome(
+            ("two_sided", "l2p"),
+            ShardOutcome::Skipped { index: 0, seed: 1 },
+        );
+        assert_eq!(skipped.error.as_deref(), Some("shard skipped"));
+        // A completed shard's cell passes through untouched.
+        let done = run_cell(11, "two_sided", "l2p");
+        let passed = GridCell::from_outcome(("two_sided", "l2p"), ShardOutcome::Ok(done.clone()));
+        assert_eq!(passed.to_json().to_string(), done.to_json().to_string());
     }
 
     #[test]
@@ -357,48 +320,5 @@ mod tests {
                 .to_string()
         };
         assert_eq!(json(1), json(4));
-    }
-}
-
-// ---- scenario entry ---------------------------------------------------------
-
-use crate::scenario::{Scenario, ScenarioCfg};
-
-/// [`Scenario`] wrapper: `repro attacks` (the unfiltered grid; the binary's
-/// `--pattern`/`--victim` flags route through [`run_filtered`]).
-#[derive(Debug, Clone, Copy)]
-pub struct AttacksScenario;
-
-impl Scenario for AttacksScenario {
-    fn name(&self) -> &'static str {
-        "attacks"
-    }
-
-    fn run(&self, cfg: ScenarioCfg, seed: u64, threads: usize) -> Json {
-        if cfg.checkpoint.is_none() && cfg.abort_after.is_none() {
-            return run_filtered(seed, threads, None, None)
-                .expect("unfiltered grid")
-                .to_json();
-        }
-        // Supervised form: completed cells plus the partial-result marker.
-        let report = run_supervised(
-            seed,
-            threads,
-            None,
-            None,
-            cfg.checkpoint.as_deref(),
-            cfg.resume,
-            cfg.abort_after,
-        )
-        .expect("unfiltered grid");
-        let cells: Vec<GridCell> = report.values().cloned().collect();
-        Json::obj([
-            ("degraded", Json::from(report.degraded())),
-            ("cells", cells.to_json()),
-        ])
-    }
-
-    fn render(&self, _cfg: ScenarioCfg, seed: u64, threads: usize) -> String {
-        render(&run_filtered(seed, threads, None, None).expect("unfiltered grid"))
     }
 }

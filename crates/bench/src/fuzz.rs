@@ -30,11 +30,13 @@
 //! cells) and fault-free except for the campaign's base fault plane and
 //! the one armed cut: any divergence is a stack bug, not an injected
 //! upset. Victim [`configure`] hooks are not applied for the same reason —
-//! the hammer op drives the registry's pattern planning and the real
-//! `hammer_reads` path, against a module where the correct observable
-//! outcome is "no flips".
+//! the hammer op drives the registry's pattern planning and the FTL
+//! layer's one burst call, [`Ftl::hammer_reads`] (like every other fuzz
+//! op, it runs on the FTL layer), against a module where the correct
+//! observable outcome is "no flips".
 //!
 //! [`configure`]: ssdhammer_core::attack::Victim::configure
+//! [`Ftl::hammer_reads`]: ssdhammer_ftl::Ftl::hammer_reads
 
 use std::path::Path;
 
@@ -554,7 +556,7 @@ fn hammer(ssd: &mut Ssd, i: u8) -> Result<Result<(), FtlError>, Failure> {
     let sites = enumerate_sites(ssd.ftl(), &targets);
     let hammerer = make_hammerer(pattern).expect("registered pattern");
     let result = match hammerer.plan(&sites) {
-        Ok(plan) => ssd.ftl_mut().hammer_reads_with(
+        Ok(plan) => ssd.ftl_mut().hammer_reads(
             &plan.pattern,
             HAMMER_REQUESTS,
             HAMMER_RATE * plan.rate_scale,
@@ -562,7 +564,7 @@ fn hammer(ssd: &mut Ssd, i: u8) -> Result<Result<(), FtlError>, Failure> {
         ),
         Err(_) => {
             let lbas = [Lba(u64::from(i) % SPAN), Lba((u64::from(i) + 1) % SPAN)];
-            ssd.ftl_mut().hammer_reads_with(
+            ssd.ftl_mut().hammer_reads(
                 &lbas,
                 HAMMER_REQUESTS,
                 HAMMER_RATE,

@@ -7,7 +7,7 @@
 //! We measure the DRAM activation rate each controller generation can drive
 //! through the FTL and count how many Table 1 module classes fall below it.
 
-use ssdhammer_dram::{DramGeometry, MappingKind, ModuleProfile};
+use ssdhammer_dram::{DramGeometry, HammerOptions, MappingKind, ModuleProfile};
 use ssdhammer_flash::FlashGeometry;
 use ssdhammer_nvme::{InterfaceGen, Ssd, SsdConfig};
 use ssdhammer_simkit::json::{Json, ToJson};
@@ -60,7 +60,12 @@ fn measure_act_rate(interface: InterfaceGen, seed: u64) -> (f64, f64) {
         let _ = ssd.create_queue_pair(usize::try_from(Ssd::QD_SATURATION).expect("depth"));
     }
     let report = ssd
-        .hammer_device_reads(&[Lba(0), Lba(512)], 500_000, 100_000_000.0)
+        .hammer_reads(
+            &[Lba(0), Lba(512)],
+            500_000,
+            100_000_000.0,
+            HammerOptions::default(),
+        )
         .expect("hammer");
     (ssd.max_iops(), report.achieved_rate)
 }

@@ -8,7 +8,7 @@ use ssdhammer_core::{
     AttackPipeline, CrossBank, Hammerer, L2pEntries, ManySided, OneLocation, SameBank, TwoSided,
 };
 use ssdhammer_dram::{
-    DramGeneration, DramGeometry, EccConfig, MappingKind, ModuleProfile, TrrConfig,
+    DramGeneration, DramGeometry, EccConfig, HammerOptions, MappingKind, ModuleProfile, TrrConfig,
 };
 use ssdhammer_flash::FlashGeometry;
 use ssdhammer_ftl::L2pLayout;
@@ -98,7 +98,12 @@ fn attack_blind(config: SsdConfig) -> (u64, usize) {
     setup_entries(ssd.ftl_mut(), &guessed_victim).expect("setup");
     let before = snapshot_host_mappings(ssd.ftl_mut(), &guessed_victim).expect("snapshot");
     let report = ssd
-        .hammer_device_reads(&guessed_aggressors, 500_000, 1_000_000.0)
+        .hammer_reads(
+            &guessed_aggressors,
+            500_000,
+            1_000_000.0,
+            HammerOptions::default(),
+        )
         .expect("hammer");
     let after = snapshot_host_mappings(ssd.ftl_mut(), &guessed_victim).expect("snapshot");
     (

@@ -11,6 +11,7 @@
 //! as root."
 
 use ssdhammer_core::{find_attack_sites, polyglot_block, AttackSite};
+use ssdhammer_dram::HammerOptions;
 use ssdhammer_fs::Ino;
 use ssdhammer_nvme::Ssd;
 use ssdhammer_simkit::{Lba, SimDuration};
@@ -157,11 +158,12 @@ pub fn run_escalation(config: &EscalationConfig) -> Result<EscalationOutcome, Cl
         let mut flips = 0u64;
         for (a, b) in targeted.iter().take(base.sites_per_cycle) {
             let requests = (base.request_rate * base.hammer_per_site.as_secs_f64()).ceil() as u64;
-            let rel = [victim_range.to_relative(*a), victim_range.to_relative(*b)];
-            let report =
-                shared
-                    .borrow_mut()
-                    .hammer_reads(victim.ns(), &rel, requests, base.request_rate)?;
+            let report = shared.borrow_mut().hammer_reads(
+                &[*a, *b],
+                requests,
+                base.request_rate,
+                HammerOptions::default(),
+            )?;
             flips += report.flips.len() as u64;
         }
         // The victim goes about its day: runs its tooling as root.

@@ -7,6 +7,7 @@ use ssdhammer_core::{
     clear_spray, cross_partition_sites, dump_through_hit, find_attack_sites, scan_for_leaks,
     spray_filesystem, AttackSite, LbaRange, SprayPlan,
 };
+use ssdhammer_dram::HammerOptions;
 use ssdhammer_fs::{Credentials, FsBlock, InodeMap};
 use ssdhammer_nvme::{Ssd, SsdConfig};
 use ssdhammer_simkit::{Lba, SimDuration};
@@ -305,18 +306,12 @@ pub fn run_case_study(config: &CaseStudyConfig) -> Result<CaseStudyOutcome, Clou
                 Some(h) => {
                     h.hammer_device_lbas(&[*above, *below], requests, config.request_rate)?
                 }
-                None => {
-                    let rel = [
-                        victim.range().to_relative(*above),
-                        victim.range().to_relative(*below),
-                    ];
-                    shared.borrow_mut().hammer_reads(
-                        victim.ns(),
-                        &rel,
-                        requests,
-                        config.request_rate,
-                    )?
-                }
+                None => shared.borrow_mut().hammer_reads(
+                    &[*above, *below],
+                    requests,
+                    config.request_rate,
+                    HammerOptions::default(),
+                )?,
             };
             flips += report.flips.len() as u64;
         }

@@ -4,7 +4,7 @@
 //! SSD.
 
 use ssdhammer_core::LbaRange;
-use ssdhammer_dram::HammerReport;
+use ssdhammer_dram::{HammerOptions, HammerReport};
 use ssdhammer_fs::{
     AddressingMode, Credentials, FileSystem, FsBlock, FsError, FsResult, Ino, InodeMap,
 };
@@ -89,7 +89,6 @@ pub struct VictimVmOptions {
 pub struct VictimVm {
     fs: FileSystem<PartitionView>,
     range: LbaRange,
-    ns: NsId,
     secret_ino: Ino,
     sudo_ino: Ino,
 }
@@ -186,7 +185,6 @@ impl VictimVm {
         Ok(VictimVm {
             fs,
             range,
-            ns,
             secret_ino,
             sudo_ino,
         })
@@ -202,12 +200,6 @@ impl VictimVm {
     #[must_use]
     pub fn range(&self) -> LbaRange {
         self.range
-    }
-
-    /// The namespace id.
-    #[must_use]
-    pub fn ns(&self) -> NsId {
-        self.ns
     }
 
     /// Converts a filesystem block of this VM to a device LBA.
@@ -385,21 +377,26 @@ impl AttackerVm {
     ///
     /// # Errors
     ///
-    /// Propagates device errors; fails if any LBA is outside the partition.
+    /// Propagates device errors.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any LBA is outside the attacker partition.
     pub fn hammer_device_lbas(
         &mut self,
         device_lbas: &[Lba],
         requests: u64,
         request_rate: f64,
     ) -> Result<HammerReport, CloudError> {
-        let relative: Vec<Lba> = device_lbas
-            .iter()
-            .map(|&l| self.range.to_relative(l))
-            .collect();
-        Ok(self
-            .shared
-            .borrow_mut()
-            .hammer_reads(self.ns, &relative, requests, request_rate)?)
+        for &l in device_lbas {
+            assert!(self.range.contains(l), "{l} outside the attacker partition");
+        }
+        Ok(self.shared.borrow_mut().hammer_reads(
+            device_lbas,
+            requests,
+            request_rate,
+            HammerOptions::default(),
+        )?)
     }
 }
 

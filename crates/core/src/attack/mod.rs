@@ -16,9 +16,9 @@
 //!   across all banks, or packed into one bank (the raw material for
 //!   many-sided patterns).
 //!
-//! Hammering still goes through the NVMe controller
-//! ([`Ssd::hammer_device_reads_with`]) so interface service rates and §5's
-//! rate-limit mitigation apply exactly as they would to per-command
+//! Hammering goes through the device's one burst call,
+//! [`Ssd::hammer_reads`] over device LBAs, so interface service rates and
+//! §5's rate-limit mitigation apply exactly as they would to per-command
 //! submission, and victims observe their state back through the *device*
 //! path, so ECC correction and ECC-uncorrectable failures are visible the
 //! way the firmware would see them.

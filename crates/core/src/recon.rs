@@ -29,17 +29,6 @@ impl LbaRange {
     pub fn contains(&self, lba: Lba) -> bool {
         lba.as_u64() >= self.start.as_u64() && lba.as_u64() < self.start.as_u64() + self.blocks
     }
-
-    /// Converts a device LBA to a range-relative LBA.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lba` is outside the range.
-    #[must_use]
-    pub fn to_relative(&self, lba: Lba) -> Lba {
-        assert!(self.contains(lba), "{lba} outside range");
-        Lba(lba.as_u64() - self.start.as_u64())
-    }
 }
 
 /// One double-sided hammering opportunity on the L2P table.
@@ -238,7 +227,6 @@ mod tests {
         };
         assert!(r.contains(Lba(100)) && r.contains(Lba(149)));
         assert!(!r.contains(Lba(99)) && !r.contains(Lba(150)));
-        assert_eq!(r.to_relative(Lba(120)), Lba(20));
     }
 
     #[test]

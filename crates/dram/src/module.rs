@@ -156,10 +156,10 @@ impl DramHandles {
     }
 }
 
-/// Per-run knobs for [`DramModule::run_hammer_with`].
+/// Per-run knobs for [`DramModule::run_hammer`].
 ///
-/// The defaults reproduce [`DramModule::run_hammer`] exactly: a dwell factor
-/// of `1.0` multiplies every pressure contribution by one (bit-identical in
+/// The defaults model plain back-to-back ACTs: a dwell factor of `1.0`
+/// multiplies every pressure contribution by one (bit-identical in
 /// IEEE-754), and an empty label suppresses per-pattern telemetry.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HammerOptions {
@@ -253,7 +253,7 @@ pub struct DramModule {
     /// Open row per bank (`u32::MAX` = none open).
     open_rows: Vec<u32>,
     /// Open-row dwell multiplier in effect (RowPress); `1.0` outside a
-    /// [`DramModule::run_hammer_with`] call with a non-default factor.
+    /// [`DramModule::run_hammer`] call with a non-default factor.
     open_row_dwell: f64,
     tel: DramHandles,
     flip_log: Vec<FlipEvent>,
@@ -585,34 +585,10 @@ impl DramModule {
     /// generated — matching real hardware, where one-location hammering
     /// requires a closed-page controller.
     ///
-    /// # Errors
-    ///
-    /// [`DramError::OutOfRange`] if any aggressor address is out of range.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `aggressors` is empty or `rate_per_sec` is not positive.
-    pub fn run_hammer(
-        &mut self,
-        aggressors: &[DramAddr],
-        total_accesses: u64,
-        rate_per_sec: f64,
-    ) -> Result<HammerReport, DramError> {
-        self.run_hammer_with(
-            aggressors,
-            total_accesses,
-            rate_per_sec,
-            HammerOptions::default(),
-        )
-    }
-
-    /// [`DramModule::run_hammer`] with per-run [`HammerOptions`]: an
-    /// open-row dwell multiplier (RowPress-style patterns trade activation
-    /// rate for per-activation disturbance) and a pattern label for
-    /// `dram.pattern.<label>.activations` telemetry.
-    ///
-    /// With the default options this is bit-identical to
-    /// [`DramModule::run_hammer`].
+    /// `opts` carries an open-row dwell multiplier (RowPress-style patterns
+    /// trade activation rate for per-activation disturbance) and a pattern
+    /// label for `dram.pattern.<label>.activations` telemetry;
+    /// [`HammerOptions::default()`] models plain back-to-back ACTs.
     ///
     /// # Errors
     ///
@@ -622,7 +598,7 @@ impl DramModule {
     ///
     /// Panics if `aggressors` is empty, `rate_per_sec` is not positive, or
     /// `opts.dwell_factor` is not positive.
-    pub fn run_hammer_with(
+    pub fn run_hammer(
         &mut self,
         aggressors: &[DramAddr],
         total_accesses: u64,
@@ -1259,7 +1235,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        let report = m.run_hammer(&aggr, 200_000, 10_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 200_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             report
                 .flips
@@ -1278,7 +1256,9 @@ mod tests {
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
         // 1000 ACTs needed per 64ms window => rate floor ~15.6K/s. Hammer at
         // 10K/s: never enough within any window.
-        let report = m.run_hammer(&aggr, 5_000, 10_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 5_000, 10_000.0, HammerOptions::default())
+            .unwrap();
         assert!(report.flips.is_empty(), "no flips expected: {report:?}");
     }
 
@@ -1288,7 +1268,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4)];
-        let report = m.run_hammer(&aggr, 500_000, 10_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 500_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(report.flips.is_empty());
         assert!(report.activations < 100, "row buffer should absorb repeats");
     }
@@ -1299,7 +1281,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4)];
-        let report = m.run_hammer(&aggr, 500_000, 10_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 500_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             !report.flips.is_empty(),
             "closed-page one-location should flip"
@@ -1336,7 +1320,8 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 1024]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        m.run_hammer(&aggr, 200_000, 10_000_000.0).unwrap();
+        m.run_hammer(&aggr, 200_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(m.telemetry().flips > 0);
         // Jump far ahead: data stays corrupted.
         m.clock().advance(SimDuration::from_secs(10));
@@ -1384,7 +1369,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        let report = m.run_hammer(&aggr, 500_000, 10_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 500_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(report.flips.is_empty(), "TRR should absorb double-sided");
     }
 
@@ -1410,7 +1397,9 @@ mod tests {
             aggr.push(row_addr(&m, 0, v - 1));
             aggr.push(row_addr(&m, 0, v + 1));
         }
-        let report = m.run_hammer(&aggr, 4_000_000, 20_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 4_000_000, 20_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             !report.flips.is_empty(),
             "many-sided should overwhelm the sampler: {:?}",
@@ -1431,7 +1420,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        let report = m.run_hammer(&aggr, 500_000, 10_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 500_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(report.flips.is_empty(), "PARA should cap the pressure");
         let snap = m.shared_telemetry().snapshot();
         assert!(snap.counter("dram.para_suppressions").unwrap_or(0) > 0);
@@ -1452,7 +1443,9 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 64]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        let report = m.run_hammer(&aggr, 2_000_000, 30_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 2_000_000, 30_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             !report.flips.is_empty(),
             "under-provisioned PARA is overwhelmed: {:?}",
@@ -1484,7 +1477,9 @@ mod tests {
             aggr.push(row_addr(&m, 0, v - 1));
             aggr.push(row_addr(&m, 0, v + 1));
         }
-        let report = m.run_hammer(&aggr, 4_000_000, 20_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 4_000_000, 20_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             report.flips.is_empty(),
             "PARA backstops TRR against many-sided: {:?}",
@@ -1503,7 +1498,8 @@ mod tests {
         let victim = row_addr(&m, 0, 5);
         m.write(victim, &[0xFFu8; 1024]).unwrap();
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        m.run_hammer(&aggr, 200_000, 10_000_000.0).unwrap();
+        m.run_hammer(&aggr, 200_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(
             m.telemetry().flips > 0,
             "cells should still flip physically"
@@ -1519,7 +1515,9 @@ mod tests {
     fn hammer_report_rates_are_consistent() {
         let mut m = tiny(ModuleProfile::invulnerable());
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        let report = m.run_hammer(&aggr, 100_000, 1_000_000.0).unwrap();
+        let report = m
+            .run_hammer(&aggr, 100_000, 1_000_000.0, HammerOptions::default())
+            .unwrap();
         assert_eq!(report.activations, 100_000);
         assert!((report.achieved_rate - 1_000_000.0).abs() / 1_000_000.0 < 0.05);
         assert!((report.elapsed.as_secs_f64() - 0.1).abs() < 0.01);
@@ -1532,7 +1530,8 @@ mod tests {
         m.write_u32(victim, 0xFFFF_FFFF).unwrap();
         assert_eq!(m.read_u32(victim).unwrap(), 0xFFFF_FFFF);
         let aggr = [row_addr(&m, 0, 4), row_addr(&m, 0, 6)];
-        m.run_hammer(&aggr, 400_000, 10_000_000.0).unwrap();
+        m.run_hammer(&aggr, 400_000, 10_000_000.0, HammerOptions::default())
+            .unwrap();
         // Some flip may or may not land inside the first 4 bytes, but the
         // value must still be readable.
         let _ = m.read_u32(victim).unwrap();

@@ -503,18 +503,29 @@ impl<'a> DirentRef<'a> {
         if ino == 0 {
             return Ok(None);
         }
-        let len = buf[4] as usize;
+        let (Some(&len), Some(&ftype)) = (buf.get(4), buf.get(5)) else {
+            return Err(FsError::Corrupted(format!(
+                "dirent header cut short at {} bytes",
+                buf.len()
+            )));
+        };
+        let len = len as usize;
         if len == 0 || len > MAX_NAME {
             return Err(FsError::Corrupted(format!("bad dirent name length {len}")));
         }
-        let ftype = match buf[5] {
+        let ftype = match ftype {
             1 => FileType::Regular,
             2 => FileType::Directory,
             other => {
                 return Err(FsError::Corrupted(format!("bad dirent type {other}")));
             }
         };
-        let name = &buf[6..6 + len];
+        let Some(name) = buf.get(6..6 + len) else {
+            return Err(FsError::Corrupted(format!(
+                "dirent name of {len} bytes runs past its {}-byte entry",
+                buf.len()
+            )));
+        };
         // An ASCII name is valid UTF-8; only other bytes need the full check.
         if !name.is_ascii() && core::str::from_utf8(name).is_err() {
             return Err(FsError::Corrupted("dirent name not utf-8".into()));
@@ -729,6 +740,18 @@ mod tests {
         }
         // ASCII, é, 名前 and the MAX_NAME name, each as a file and a directory.
         assert_eq!(accepted, 8);
+        // Entries cut short, inside the header or inside the name, are
+        // corrupt, not a panic.
+        for cut in [&[1u8, 0, 0, 0][..], &[9, 0, 0, 0, 5, 1, b'a', b'b']] {
+            assert!(
+                matches!(DirentRef::decode(cut), Err(FsError::Corrupted(_))),
+                "{cut:x?}"
+            );
+            assert!(
+                matches!(Dirent::decode(cut), Err(FsError::Corrupted(_))),
+                "{cut:x?}"
+            );
+        }
     }
 
     #[test]

@@ -103,7 +103,7 @@ pub enum HostOp {
     Flush,
     /// [`Ftl::scrub_chunk`].
     Scrub,
-    /// [`Ftl::hammer_reads`] / [`Ftl::hammer_reads_with`].
+    /// [`Ftl::hammer_reads`].
     Hammer,
 }
 
@@ -1286,7 +1286,8 @@ impl Ftl {
     /// minutes to hours).
     ///
     /// Each request activates its entry's DRAM row `hammer_amplification`
-    /// times, exactly like the per-request path.
+    /// times, exactly like the per-request path. `opts` (open-row dwell,
+    /// pattern telemetry label) is forwarded to [`DramModule::run_hammer`].
     ///
     /// # Errors
     ///
@@ -1296,26 +1297,6 @@ impl Ftl {
     ///
     /// Panics if `lbas` is empty or the rate is not positive.
     pub fn hammer_reads(
-        &mut self,
-        lbas: &[Lba],
-        requests: u64,
-        request_rate: f64,
-    ) -> Result<HammerReport, FtlError> {
-        self.hammer_reads_with(lbas, requests, request_rate, HammerOptions::default())
-    }
-
-    /// [`Ftl::hammer_reads`] with per-burst [`HammerOptions`] (open-row
-    /// dwell, pattern telemetry label) forwarded to the DRAM layer. Default
-    /// options are bit-identical to [`Ftl::hammer_reads`].
-    ///
-    /// # Errors
-    ///
-    /// Out-of-range LBAs or DRAM errors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lbas` is empty or the rate is not positive.
-    pub fn hammer_reads_with(
         &mut self,
         lbas: &[Lba],
         requests: u64,
@@ -1332,7 +1313,7 @@ impl Ftl {
         self.tel.l2p_reads.add(requests);
         let report =
             self.dram
-                .run_hammer_with(&addrs, requests * amp, request_rate * amp as f64, opts)?;
+                .run_hammer(&addrs, requests * amp, request_rate * amp as f64, opts)?;
         Ok(report)
     }
 
@@ -2254,7 +2235,9 @@ mod tests {
         // §3.1: alternating reads whose entries live in the two aggressor
         // rows. One representative LBA per row suffices to activate it.
         let pattern = [above[0], below[0]];
-        let report = ftl.hammer_reads(&pattern, 300_000, 5_000_000.0).unwrap();
+        let report = ftl
+            .hammer_reads(&pattern, 300_000, 5_000_000.0, HammerOptions::default())
+            .unwrap();
         assert!(!report.flips.is_empty(), "hammering should flip L2P bits");
 
         let after: Vec<_> = victim_lbas
@@ -2717,7 +2700,12 @@ mod tests {
             .map(|&l| ftl.peek_mapping(l).unwrap())
             .collect();
         let report = ftl
-            .hammer_reads(&[above[0], below[0]], 300_000, 5_000_000.0)
+            .hammer_reads(
+                &[above[0], below[0]],
+                300_000,
+                5_000_000.0,
+                HammerOptions::default(),
+            )
             .unwrap();
         assert!(!report.flips.is_empty(), "bits must still flip physically");
         // The acceptance property: no victim read resolves to a *different*

@@ -16,8 +16,11 @@
 //! * a configurable per-I/O activation amplification
 //!   ([`FtlConfig::hammer_amplification`]), the knob the paper set to 5 to
 //!   compensate for its slow testbed;
-//! * a bulk [`Ftl::hammer_reads`] path that aggregates attack workloads into
-//!   refresh-window-sized batches so experiments can span simulated hours;
+//! * one bulk hammer-burst call, [`Ftl::hammer_reads`], that aggregates
+//!   attack workloads into refresh-window-sized batches so experiments can
+//!   span simulated hours, and forwards its
+//!   [`HammerOptions`](ssdhammer_dram::HammerOptions) to
+//!   [`DramModule::run_hammer`](ssdhammer_dram::DramModule::run_hammer);
 //! * the unmapped-read fast path (reads of trimmed blocks skip flash), which
 //!   the paper notes lets attackers reach higher request rates.
 //!

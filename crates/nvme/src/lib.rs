@@ -24,9 +24,10 @@
 //!   (round-robin or weighted round-robin across queue pairs), and drained
 //!   per queue. [`Ssd::max_iops`] reports the multi-queue ceiling this
 //!   unlocks.
-//! * [`Ssd::hammer_reads`] is the aggregated attack path; it rides the same
-//!   batch machinery as a [`Command::VendorHammer`] burst and honours the
-//!   same service-rate bounds as per-command submission.
+//! * [`Ssd::hammer_reads`] is the device's one hammer-burst call: it takes
+//!   device LBAs and [`HammerOptions`](ssdhammer_dram::HammerOptions),
+//!   rides the same batch machinery as a [`Command::VendorHammer`] burst,
+//!   and honours the same service-rate bounds as per-command submission.
 //! * [`Ssd`] and [`Namespace`] implement
 //!   [`ssdhammer_simkit::BlockDevice`], so the ext4-like filesystem mounts
 //!   directly on the whole drive or on one namespace.

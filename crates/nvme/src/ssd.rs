@@ -428,19 +428,8 @@ impl Ssd {
     /// table does not fit in DRAM).
     #[must_use]
     pub fn build(config: SsdConfig) -> Self {
-        Self::build_with_telemetry(config, Telemetry::new())
-    }
-
-    /// Like [`Ssd::build`], but records into a caller-supplied registry —
-    /// the hook for embedding the device in a larger instrumented system.
-    ///
-    /// # Panics
-    ///
-    /// Same as [`Ssd::build`].
-    #[must_use]
-    pub fn build_with_telemetry(config: SsdConfig, telemetry: Telemetry) -> Self {
         // lint:allow(P1) -- documented-panic constructor: geometry is validated by SsdConfig before assembly
-        Self::try_build_with_telemetry(config, telemetry).expect("SSD assembly failed")
+        Self::try_build(config).expect("SSD assembly failed")
     }
 
     /// Fallible assembly: like [`Ssd::build`] but surfaces recoverable
@@ -457,18 +446,7 @@ impl Ssd {
     /// exceeding the array) still asserts — those are programming errors,
     /// not runtime conditions.
     pub fn try_build(config: SsdConfig) -> Result<Self, NvmeError> {
-        Self::try_build_with_telemetry(config, Telemetry::new())
-    }
-
-    /// Fallible variant of [`Ssd::build_with_telemetry`].
-    ///
-    /// # Errors
-    ///
-    /// [`NvmeError::Ftl`] wrapping the FTL's assembly failure.
-    pub fn try_build_with_telemetry(
-        config: SsdConfig,
-        telemetry: Telemetry,
-    ) -> Result<Self, NvmeError> {
+        let telemetry = Telemetry::new();
         let clock = SimClock::new();
         let mut dram_builder = DramModule::builder(config.dram_geometry)
             .profile(config.dram_profile.clone())
@@ -1264,7 +1242,7 @@ impl Ssd {
         let mut merged: Option<HammerReport> = None;
         let result = loop {
             let n = slice.map_or(remaining, |s| remaining.min(s));
-            match self.ftl.hammer_reads_with(lbas, n, effective, opts) {
+            match self.ftl.hammer_reads(lbas, n, effective, opts) {
                 Ok(report) => {
                     merged = Some(match merged.take() {
                         None => report,
@@ -1305,69 +1283,25 @@ impl Ssd {
 
     // ---- bulk attack path --------------------------------------------------
 
-    /// Issues `requests` read commands round-robin over namespace-relative
-    /// `lbas` at the highest rate the controller allows, bounded by
-    /// `requested_rate`. This is the aggregated fast path the attack
-    /// workloads use; it honours the interface service rate and any
-    /// configured rate limit, exactly like per-command submission would.
+    /// Issues `requests` read commands round-robin over *device* `lbas` at
+    /// the highest rate the controller allows, bounded by `requested_rate`.
+    /// This is the device's one hammer-burst entry point: the aggregated
+    /// fast path every attack workload uses. It honours the interface
+    /// service rate and any configured rate limit, exactly like
+    /// per-command submission would, and forwards `opts` (open-row dwell,
+    /// pattern telemetry label) to the DRAM layer.
     ///
     /// Returns the DRAM-level hammer report.
     ///
     /// # Errors
     ///
-    /// Namespace/addressing errors or FTL failures.
+    /// [`NvmeError::Ftl`] for an LBA at or past the FTL's capacity (the
+    /// burst then activates no DRAM row), or other FTL failures.
     ///
     /// # Panics
     ///
     /// Panics if `lbas` is empty or `requested_rate` is not positive.
     pub fn hammer_reads(
-        &mut self,
-        ns: NsId,
-        lbas: &[Lba],
-        requests: u64,
-        requested_rate: f64,
-    ) -> Result<HammerReport, NvmeError> {
-        assert!(requested_rate > 0.0, "rate must be positive");
-        let device_lbas: Vec<Lba> = lbas
-            .iter()
-            .map(|&l| self.translate(ns, l))
-            .collect::<Result<_, _>>()?;
-        self.hammer_device_reads(&device_lbas, requests, requested_rate)
-    }
-
-    /// Like [`Ssd::hammer_reads`] but over *device* LBAs, for single-tenant
-    /// hosts that address the whole drive (e.g. Figure 2 (a) with one
-    /// partition). Applies the same controller rate bounds.
-    ///
-    /// # Errors
-    ///
-    /// Addressing or FTL failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lbas` is empty or `requested_rate` is not positive.
-    pub fn hammer_device_reads(
-        &mut self,
-        lbas: &[Lba],
-        requests: u64,
-        requested_rate: f64,
-    ) -> Result<HammerReport, NvmeError> {
-        self.hammer_device_reads_with(lbas, requests, requested_rate, HammerOptions::default())
-    }
-
-    /// [`Ssd::hammer_device_reads`] with per-burst [`HammerOptions`]: an
-    /// open-row dwell multiplier (RowPress-style patterns) and a pattern
-    /// label for per-pattern DRAM activation telemetry. Default options are
-    /// bit-identical to [`Ssd::hammer_device_reads`].
-    ///
-    /// # Errors
-    ///
-    /// Addressing or FTL failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lbas` is empty or `requested_rate` is not positive.
-    pub fn hammer_device_reads_with(
         &mut self,
         lbas: &[Lba],
         requests: u64,
@@ -1832,9 +1766,13 @@ mod tests {
         let mut config = SsdConfig::test_small(1);
         config.controller.rate_limit_iops = Some(50_000.0);
         let mut s = Ssd::build(config);
-        let ns = s.create_namespace(1024).unwrap();
         let report = s
-            .hammer_reads(ns, &[Lba(0), Lba(512)], 10_000, 5_000_000.0)
+            .hammer_reads(
+                &[Lba(0), Lba(512)],
+                10_000,
+                5_000_000.0,
+                HammerOptions::default(),
+            )
             .unwrap();
         assert!(
             report.achieved_rate <= 51_000.0,
@@ -2227,7 +2165,12 @@ mod tests {
         let mut s = ssd();
         s.create_namespace(1024).unwrap();
         let report = s
-            .hammer_device_reads(&[Lba(0), Lba(512)], 5_000, 1_000_000.0)
+            .hammer_reads(
+                &[Lba(0), Lba(512)],
+                5_000,
+                1_000_000.0,
+                HammerOptions::default(),
+            )
             .unwrap();
         assert!(report.activations > 0);
         let snap = s.snapshot_telemetry();
@@ -2243,6 +2186,37 @@ mod tests {
         // The internal queue does not inflate the host's IOPS ceiling.
         let base = Ssd::build(SsdConfig::test_small(1)).max_iops();
         assert!((s.max_iops() - base).abs() < 1e-6);
+    }
+
+    #[test]
+    fn hammer_burst_rejects_lbas_past_capacity() {
+        let mut s = ssd();
+        let cap = s.ftl().capacity_lbas();
+        let before = s.ftl().dram().telemetry().activations;
+        for bad in [cap, cap + 1, u64::MAX] {
+            let err = s
+                .hammer_reads(
+                    &[Lba(0), Lba(bad)],
+                    5_000,
+                    1_000_000.0,
+                    HammerOptions::default(),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, NvmeError::Ftl(ssdhammer_ftl::FtlError::OutOfRange { lba }) if lba == Lba(bad)),
+                "LBA {bad}: {err:?}"
+            );
+        }
+        assert_eq!(s.ftl().dram().telemetry().activations, before);
+        // The last in-range LBA is still accepted.
+        s.hammer_reads(
+            &[Lba(0), Lba(cap - 1)],
+            5_000,
+            1_000_000.0,
+            HammerOptions::default(),
+        )
+        .unwrap();
+        assert!(s.ftl().dram().telemetry().activations > before);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use ssdhammer_simkit::{
 };
 
 pub use ssdhammer_dram::{
-    DramGeometry, DramModule, EccConfig, MappingKind, ModuleProfile, TrrConfig,
+    DramGeometry, DramModule, EccConfig, HammerOptions, MappingKind, ModuleProfile, TrrConfig,
 };
 pub use ssdhammer_flash::{FlashArray, FlashGeometry};
 pub use ssdhammer_ftl::{Ftl, FtlConfig, L2pLayout};

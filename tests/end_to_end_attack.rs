@@ -3,7 +3,7 @@
 //! prototype scale.
 
 use ssdhammer::core::{find_attack_sites, setup_entries, snapshot_mappings};
-use ssdhammer::dram::{DramGeneration, DramGeometry, MappingKind, ModuleProfile};
+use ssdhammer::dram::{DramGeneration, DramGeometry, HammerOptions, MappingKind, ModuleProfile};
 use ssdhammer::flash::FlashGeometry;
 use ssdhammer::ftl::FtlConfig;
 use ssdhammer::nvme::{CmdResult, Command, Ssd, SsdConfig};
@@ -91,10 +91,11 @@ fn redirection_changes_data_served_over_nvme() {
         out
     };
     let before = read_all(&mut ssd);
-    ssd.hammer_device_reads(
+    ssd.hammer_reads(
         &[site.above_lbas[0], site.below_lbas[0]],
         400_000,
         1_500_000.0,
+        HammerOptions::default(),
     )
     .unwrap();
     let after = read_all(&mut ssd);
@@ -146,7 +147,12 @@ fn amplification_scales_activation_rate() {
             .with_dram_profile(ModuleProfile::invulnerable());
         let mut ssd = Ssd::build(config);
         let report = ssd
-            .hammer_device_reads(&[Lba(0), Lba(512)], 100_000, 1_000_000.0)
+            .hammer_reads(
+                &[Lba(0), Lba(512)],
+                100_000,
+                1_000_000.0,
+                HammerOptions::default(),
+            )
             .unwrap();
         report.achieved_rate
     };
